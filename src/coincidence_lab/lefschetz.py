@@ -17,6 +17,7 @@ Three routes produce a :class:`ClassValue`:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (
@@ -80,39 +81,62 @@ class ClassValue:
 
 @dataclass(frozen=True)
 class TorusMapModel:
-    """k maps between tori, recorded by their induced matrices on 1-cycles.
+    """k affine maps x -> A_i x + b_i from T^m to T^n: the one torus system.
 
-    Every matrix is n x m: rows index target circle factors, columns index
-    source circle factors.  Translation parts are irrelevant to the class
-    and are not recorded here.
+    Every A_i is n x m, the induced matrix on 1-cycles: rows index target
+    circle factors, columns index source circle factors.  The translations
+    b_i default to zero and are reduced into [0, 1); they move the
+    coincidence points but never the class.
     """
 
     m: int
     n: int
     matrices: tuple[IntegerMatrix, ...]
+    translations: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
-        if self.m < 1 or self.n < 1:
-            raise DimensionMismatch("torus dimensions must be positive")
         if len(self.matrices) < 2:
-            raise ArityMismatch("a coincidence model needs at least two maps")
+            raise DimensionMismatch("a coincidence system needs at least two maps")
+        # IntegerMatrix shapes are positive, so these checks also bound m, n >= 1
         for i, mat in enumerate(self.matrices, start=1):
             if mat.shape() != (self.n, self.m):
                 raise DimensionMismatch(
                     f"matrix {i} has shape {mat.shape()}, expected ({self.n}, {self.m})"
                 )
+        translations = self.translations or ((0,) * self.n,) * self.k
+        if len(translations) != self.k:
+            raise DimensionMismatch(f"{len(translations)} translations for {self.k} maps")
+        for i, translation in enumerate(translations, start=1):
+            if len(translation) != self.n:
+                raise DimensionMismatch(
+                    f"translation {i} has {len(translation)} entries, expected {self.n}"
+                )
+        reduced = tuple(tuple(Fraction(t) % 1 for t in tr) for tr in translations)
+        object.__setattr__(self, "translations", reduced)
 
     @classmethod
-    def from_matrices(cls, matrices: Sequence[IntegerMatrix]) -> TorusMapModel:
-        if not matrices:
-            raise ArityMismatch("a coincidence model needs at least two maps")
-        n, m = matrices[0].shape()
-        return cls(m, n, tuple(matrices))
+    def from_matrices(
+        cls,
+        matrices: Sequence[IntegerMatrix],
+        translations: Sequence[Sequence[Fraction]] = (),
+    ) -> TorusMapModel:
+        """Infer (n, m) from the first matrix; the constructor checks the rest."""
+        n, m = matrices[0].shape() if matrices else (0, 0)
+        return cls(m, n, tuple(matrices), tuple(translations))
 
     @property
     def k(self) -> int:
         return len(self.matrices)
+
+    def require_top_degree(self) -> None:
+        """Raise unless m = (k-1) n, so the stacked difference system is square
+        and the product of the k-1 pair classes lands in the top degree."""
+        expected = (self.k - 1) * self.n
+        if self.m != expected:
+            raise DimensionMismatch(
+                f"source dimension {self.m} must equal (k-1)*n = {expected}"
+            )
 
 
 def pair_class_torus(model: TorusMapModel, i: int) -> ExteriorElement:
@@ -130,11 +154,7 @@ def multi_class_torus(model: TorusMapModel) -> ClassValue:
     Requires m = (k-1) n so the product of the k-1 pair classes lands in the
     top degree of the source torus.
     """
-    expected = (model.k - 1) * model.n
-    if model.m != expected:
-        raise DimensionMismatch(
-            f"source dimension {model.m} must equal (k-1)*n = {expected}"
-        )
+    model.require_top_degree()
     acc = ExteriorElement.one(model.m)
     for i in range(2, model.k + 1):
         acc = wedge(acc, pair_class_torus(model, i))

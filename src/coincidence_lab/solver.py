@@ -16,12 +16,12 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, EnumerationLimit, NonTransverse
+from .errors import EnumerationLimit, NonTransverse
+from .lefschetz import TorusMapModel
 from .matrices import IntegerMatrix, stack_rows
 from .snf import SnfResult, smith_normal_form
 
 __all__ = [
-    "AffineTorusMap",
     "CoincidencePoint",
     "MAX_ENUMERATED_POINTS",
     "SnfResult",
@@ -34,33 +34,6 @@ __all__ = [
 # before the points fit in memory; refuse hopeless enumerations up front.
 # Callers with unusual needs can pass a larger max_points explicitly.
 MAX_ENUMERATED_POINTS = 250_000
-
-
-@dataclass(frozen=True)
-class AffineTorusMap:
-    """x -> matrix @ x + translation on the torus; translation entries live in [0, 1)."""
-
-    matrix: IntegerMatrix
-    translation: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        translation = tuple(Fraction(t) for t in self.translation)
-        if not translation:
-            translation = (Fraction(0),) * self.matrix.rows
-        if len(translation) != self.matrix.rows:
-            raise DimensionMismatch(
-                f"translation has {len(translation)} entries, matrix has "
-                f"{self.matrix.rows} rows"
-            )
-        object.__setattr__(self, "translation", tuple(t % 1 for t in translation))
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.rows
 
 
 @dataclass(frozen=True)
@@ -78,15 +51,14 @@ class CoincidencePoint:
                 raise ValueError(f"coordinate {c} is not reduced into [0, 1)")
 
 
-def stacked_difference(maps: Sequence[AffineTorusMap]) -> IntegerMatrix:
+def stacked_difference(model: TorusMapModel) -> IntegerMatrix:
     """Row-stack of A_i - A_1 for i = 2..k; square exactly when m = (k-1) n."""
-    _validate_system(maps)
-    first = maps[0].matrix
-    return stack_rows([m.matrix - first for m in maps[1:]])
+    first = model.matrices[0]
+    return stack_rows([a - first for a in model.matrices[1:]])
 
 
 def solve_coincidences(
-    maps: Sequence[AffineTorusMap],
+    model: TorusMapModel,
     max_points: int = MAX_ENUMERATED_POINTS,
 ) -> list[CoincidencePoint]:
     """Enumerate the coincidence set of a transverse affine system.
@@ -96,16 +68,9 @@ def solve_coincidences(
     sorted lexicographically by coordinates, each carrying the common local
     index sign(det D).
     """
-    _validate_system(maps)
-    k = len(maps)
-    n = maps[0].target_dim
-    m = maps[0].source_dim
-    if m != (k - 1) * n:
-        raise DimensionMismatch(
-            f"source dimension {m} must equal (k-1)*n = {(k - 1) * n}"
-        )
+    model.require_top_degree()
 
-    stacked = stacked_difference(maps)
+    stacked = stacked_difference(model)
     det = stacked.det()
     if det == 0:
         raise NonTransverse(
@@ -120,12 +85,13 @@ def solve_coincidences(
     index = 1 if det > 0 else -1
 
     rhs: list[Fraction] = []
-    for other in maps[1:]:
-        rhs.extend(b1 - bi for b1, bi in zip(maps[0].translation, other.translation))
+    first = model.translations[0]
+    for other in model.translations[1:]:
+        rhs.extend(b1 - bi for b1, bi in zip(first, other))
 
     snf = smith_normal_form(stacked)
     diag = snf.diagonal()
-    size = m
+    size = model.m
 
     # Transformed system: diag[j] * y_j = (U c)_j mod 1, then x = V y.
     uc = [
@@ -171,13 +137,3 @@ def index_sum(points: Sequence[CoincidencePoint]) -> int:
     """Total coincidence index; equals the top-degree coincidence class."""
     return sum(p.local_index for p in points)
 
-
-def _validate_system(maps: Sequence[AffineTorusMap]) -> None:
-    if len(maps) < 2:
-        raise DimensionMismatch("a coincidence system needs at least two maps")
-    shape = maps[0].matrix.shape()
-    for i, m in enumerate(maps[1:], start=2):
-        if m.matrix.shape() != shape:
-            raise DimensionMismatch(
-                f"map {i} has shape {m.matrix.shape()}, expected {shape}"
-            )

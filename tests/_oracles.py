@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-from coincidence_lab import AffineTorusMap, IntegerMatrix
+from coincidence_lab import IntegerMatrix, TorusMapModel
 
 
 def perm_det(rows) -> int:
@@ -81,7 +81,7 @@ def random_transverse_system(
     n: int | None = None,
     k: int | None = None,
     with_translations: bool = True,
-) -> list[AffineTorusMap]:
+) -> TorusMapModel:
     """Affine torus system with nonzero stacked-difference determinant."""
     while True:
         nn = n if n is not None else rng.choice([1, 2])
@@ -95,10 +95,7 @@ def random_transverse_system(
         ]
         if perm_det(stacked) == 0:
             continue
-        maps = []
-        for mat in mats:
-            translation = (
-                random_translation(rng, nn) if with_translations else ()
-            )
-            maps.append(AffineTorusMap(mat, translation))
-        return maps
+        translations = (
+            [random_translation(rng, nn) for _ in mats] if with_translations else ()
+        )
+        return TorusMapModel.from_matrices(mats, translations)

@@ -17,7 +17,6 @@ from coincidence_lab import (
     RULE_JIANG,
     RULE_SIMPLY_CONNECTED,
     AbelianGroupSpec,
-    AffineTorusMap,
     GroupRingElement,
     OrientationCharacter,
     TorusMapModel,
@@ -49,10 +48,9 @@ def test_criterion_1_oracle_equality():
     checked = 0
     ok = True
     while checked < 1000:
-        maps = random_transverse_system(rng)
-        model = TorusMapModel.from_matrices([m.matrix for m in maps])
+        model = random_transverse_system(rng)
         expected = multi_class_torus(model).value
-        actual = index_sum(solve_coincidences(maps))
+        actual = index_sum(solve_coincidences(model))
         if actual != expected:
             ok = False
             break
@@ -71,10 +69,9 @@ def test_criterion_2_product_formula():
     rng = Random(0xBEEF)
     ok = True
     for _ in range(1000):
-        maps = random_transverse_system(rng, k=3)
-        model = TorusMapModel.from_matrices([m.matrix for m in maps])
+        model = random_transverse_system(rng, k=3)
         cup = wedge(pair_class_torus(model, 2), pair_class_torus(model, 3))
-        stacked = stacked_difference(maps)
+        stacked = stacked_difference(model)
         det = perm_det([list(r) for r in stacked.entries])
         # the fixed convention makes the global sign exactly +1
         if cup.top_coefficient() != det:
@@ -254,18 +251,18 @@ def test_criterion_7_translation_invariance():
     rng = Random(0xDEAD)
     ok = True
     for _ in range(200):
-        maps = random_transverse_system(rng)
-        base = index_sum(solve_coincidences(maps))
-        shifted = [
-            AffineTorusMap(
-                m.matrix,
+        model = random_transverse_system(rng)
+        base = index_sum(solve_coincidences(model))
+        shifted = TorusMapModel.from_matrices(
+            model.matrices,
+            [
                 tuple(
                     Fraction(rng.randint(0, 4), rng.randint(1, 5))
-                    for _ in range(m.matrix.rows)
-                ),
-            )
-            for m in maps
-        ]
+                    for _ in range(mat.rows)
+                )
+                for mat in model.matrices
+            ],
+        )
         ok = ok and index_sum(solve_coincidences(shifted)) == base
         if not ok:
             break

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -293,6 +294,98 @@ def test_overflowing_entry_is_exit_5(tmp_path, capsys):
     code = main(["class", str(write_scenario(tmp_path, doc))])
     assert code == EXIT_OVERFLOW
     assert "64-bit" in capsys.readouterr().err
+
+
+FLOAT_DOCS = {
+    # JSON Schema's "integer" type accepts these integral or huge floats
+    "integral-float-degree": {
+        "model": "sphere-degrees",
+        "sphere": {"n": 2, "k": 2, "hat_degrees": [3.0, 5]},
+    },
+    "huge-float-entry": {
+        "model": "torus-affine",
+        "torus": {
+            "source_dim": 1,
+            "target_dim": 1,
+            "maps": [{"matrix": [[0]]}, {"matrix": [[1e300]]}],
+        },
+    },
+    "float-dimension": {
+        "model": "torus-affine",
+        "torus": dict(TORUS_DOC["torus"], target_dim=1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_DOCS))
+def test_float_literal_is_schema_error(tmp_path, capsys, name):
+    code = main(["class", str(write_scenario(tmp_path, FLOAT_DOCS[name]))])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert "float" in captured.err
+    assert not re.search(r"\d\.\d|\de[+-]?\d", captured.out)
+
+
+def test_unwritable_output_is_schema_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, TORUS_DOC)
+    missing = tmp_path / "missing-dir" / "report.json"
+    code = main(["class", str(path), "--output", str(missing)])
+    assert code == EXIT_SCHEMA
+    assert "error: cannot write report:" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_translation_length_mismatch_is_dimension_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["torus"]["maps"][1]["translation"] = ["1/2", "1/3"]
+    code = main(["class", str(write_scenario(tmp_path, doc))])
+    assert code == EXIT_DIMENSION
+    assert "translation" in capsys.readouterr().err
+
+
+def test_ragged_matrix_rows_are_dimension_error(tmp_path, capsys):
+    doc = {
+        "model": "torus-affine",
+        "torus": {
+            "source_dim": 2,
+            "target_dim": 2,
+            "maps": [{"matrix": [[1, 0], [0]]}, {"matrix": [[0, 0], [0, 1]]}],
+        },
+    }
+    code = main(["class", str(write_scenario(tmp_path, doc))])
+    assert code == EXIT_DIMENSION
+    assert "row" in capsys.readouterr().err
+
+
+# 4 maps T^9 -> T^3 with det -740, drawn by seed 26 of the benchmark's
+# class-oracle workload: the answer is small, but the Smith normal form
+# certificate reaches an entry of about -2.5e19 and exits 5.
+SNF_OVERFLOW_MATRICES = [
+    [[1, 0, 0, 1, 1, 1, 1, 0, 0], [1, 0, 0, -1, 1, 1, 1, -1, -1], [0, 1, -1, 0, -1, 1, -1, 0, -1]],
+    [[-1, 1, 1, 1, 0, -1, -1, -1, -1], [-1, -1, 1, 0, -1, -1, -1, 0, 0], [0, -1, 1, 0, 0, 0, -1, -1, 0]],
+    [[0, 1, 0, -1, 0, 0, 1, 1, -1], [-1, 0, 0, -1, 0, 1, 0, -1, 1], [0, -1, -1, 0, -1, 0, 0, -1, 1]],
+    [[-1, 1, 0, 0, 0, -1, 1, 1, 0], [0, 0, 1, 1, -1, -1, 1, 0, -1], [0, 0, 1, -1, -1, 1, -1, -1, 1]],
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the SNF certificate (U, V) leaves the int64 range",
+)
+def test_small_det_system_with_overflowing_certificate(tmp_path, capsys):
+    doc = {
+        "model": "torus-affine",
+        "torus": {
+            "source_dim": 9,
+            "target_dim": 3,
+            "maps": [{"matrix": rows} for rows in SNF_OVERFLOW_MATRICES],
+        },
+    }
+    code, out = run("class", write_scenario(tmp_path, doc), capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"]["value"] == -740
+    assert report["oracle_agrees"] is True
 
 
 def test_undeclared_fact_identifier_is_schema_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -115,6 +116,16 @@ def test_any_vanishing_pair_factor_kills_the_class():
         model = TorusMapModel.from_matrices(mats)
         assert pair_class_torus(model, j + 1).is_zero()
         assert multi_class_torus(model).value == 0
+
+
+def test_translations_default_to_zero_and_reduce_into_unit_interval():
+    a, b = IntegerMatrix([[1]]), IntegerMatrix([[3]])
+    assert TorusMapModel.from_matrices([a, b]).translations == ((0,), (0,))
+    model = TorusMapModel.from_matrices([a, b], [(Fraction(5, 2),), (Fraction(-1, 3),)])
+    assert model.translations == ((Fraction(1, 2),), (Fraction(2, 3),))
+    assert all(type(t) is Fraction for tr in model.translations for t in tr)
+    with pytest.raises(DimensionMismatch):
+        TorusMapModel.from_matrices([a, b], [(0,)])
 
 
 def test_multi_class_dimension_gate():

@@ -4,7 +4,6 @@ from random import Random
 import pytest
 
 from coincidence_lab import (
-    AffineTorusMap,
     CoincidencePoint,
     DimensionMismatch,
     IntegerMatrix,
@@ -19,8 +18,10 @@ from coincidence_lab import (
 from _oracles import perm_det, random_transverse_system
 
 
-def linear(rows):
-    return AffineTorusMap(IntegerMatrix(rows))
+def system(*rows_list, translations=()):
+    return TorusMapModel.from_matrices(
+        [IntegerMatrix(rows) for rows in rows_list], translations
+    )
 
 
 def coords(point):
@@ -31,7 +32,7 @@ def coords(point):
 
 
 def test_unique_solution_system():
-    maps = [linear([[0, 0]]), linear([[2, 1]]), linear([[1, 1]])]
+    maps = system([[0, 0]], [[2, 1]], [[1, 1]])
     points = solve_coincidences(maps)
     assert [coords(p) for p in points] == [("0", "0")]
     assert points[0].local_index == 1
@@ -39,7 +40,7 @@ def test_unique_solution_system():
 
 
 def test_six_point_diagonal_system():
-    maps = [linear([[0, 0]]), linear([[2, 0]]), linear([[0, 3]])]
+    maps = system([[0, 0]], [[2, 0]], [[0, 3]])
     points = solve_coincidences(maps)
     expected = sorted(
         (Fraction(a, 2), Fraction(b, 3)) for a in range(2) for b in range(3)
@@ -51,7 +52,7 @@ def test_six_point_diagonal_system():
 
 def test_negative_determinant_flips_indices():
     # stacked difference diag(-2, 1): two points, each of index -1
-    maps = [linear([[0, 0]]), linear([[-2, 0]]), linear([[0, 1]])]
+    maps = system([[0, 0]], [[-2, 0]], [[0, 1]])
     points = solve_coincidences(maps)
     assert len(points) == 2
     assert all(p.local_index == -1 for p in points)
@@ -60,10 +61,7 @@ def test_negative_determinant_flips_indices():
 
 def test_translations_shift_the_points():
     # 2x = 1/2 on the circle: x in {1/4, 3/4}
-    maps = [
-        AffineTorusMap(IntegerMatrix([[0]])),
-        AffineTorusMap(IntegerMatrix([[2]]), (Fraction(1, 2),)),
-    ]
+    maps = system([[0]], [[2]], translations=[(0,), (Fraction(1, 2),)])
     points = solve_coincidences(maps)
     assert [p.coordinates for p in points] == [(Fraction(1, 4),), (Fraction(3, 4),)]
     assert index_sum(points) == 2
@@ -72,29 +70,29 @@ def test_translations_shift_the_points():
 def test_enumeration_budget():
     from coincidence_lab import EnumerationLimit
 
-    maps = [linear([[0, 0]]), linear([[3, 0]]), linear([[0, 3]])]  # 9 points
+    maps = system([[0, 0]], [[3, 0]], [[0, 3]])  # 9 points
     assert len(solve_coincidences(maps)) == 9
     with pytest.raises(EnumerationLimit):
         solve_coincidences(maps, max_points=8)
 
 
 def test_non_transverse_is_an_error():
-    maps = [linear([[0, 0]]), linear([[1, 0]]), linear([[1, 0]])]
+    maps = system([[0, 0]], [[1, 0]], [[1, 0]])
     with pytest.raises(NonTransverse):
         solve_coincidences(maps)
-    identical = [linear([[1]]), linear([[1]])]
+    identical = system([[1]], [[1]])
     with pytest.raises(NonTransverse):
         solve_coincidences(identical)
 
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        solve_coincidences([linear([[1, 0]])])
+        solve_coincidences(system([[1, 0]]))
     with pytest.raises(DimensionMismatch):
-        solve_coincidences([linear([[1, 0]]), linear([[1]])])
+        solve_coincidences(system([[1, 0]], [[1]]))
     with pytest.raises(DimensionMismatch):
         # m = 3 but (k-1)*n = 2
-        solve_coincidences([linear([[0, 0, 0]]), linear([[1, 0, 0]]), linear([[0, 1, 0]])])
+        solve_coincidences(system([[0, 0, 0]], [[1, 0, 0]], [[0, 1, 0]]))
 
 
 def test_index_sum_plumbing():
@@ -121,8 +119,7 @@ def test_oracle_equality_randomized():
     for _ in range(300):
         maps = random_transverse_system(rng)
         points = solve_coincidences(maps)
-        model = TorusMapModel.from_matrices([m.matrix for m in maps])
-        value = multi_class_torus(model)
+        value = multi_class_torus(maps)
         assert index_sum(points) == value.value
 
 
@@ -151,16 +148,16 @@ def test_translations_never_change_index_sum():
     for _ in range(150):
         maps = random_transverse_system(rng, with_translations=False)
         base = index_sum(solve_coincidences(maps))
-        shifted = [
-            AffineTorusMap(
-                m.matrix,
+        shifted = TorusMapModel.from_matrices(
+            maps.matrices,
+            [
                 tuple(
                     Fraction(rng.randint(0, 4), rng.randint(1, 5))
-                    for _ in range(m.matrix.rows)
-                ),
-            )
-            for m in maps
-        ]
+                    for _ in range(mat.rows)
+                )
+                for mat in maps.matrices
+            ],
+        )
         assert index_sum(solve_coincidences(shifted)) == base
 
 
@@ -181,13 +178,11 @@ def test_brute_force_grid_finds_the_same_solution_set():
         ) * (mats[2][0, 0] - mats[0][0, 0])
         if det == 0 or abs(det) > 8:
             continue
-        maps = [
-            AffineTorusMap(
-                mat, (Fraction(rng.randint(0, 2), rng.choice([1, 2, 3])) % 1,)
-            )
-            for mat in mats
-        ]
-        cden = lcm(*(m.translation[0].denominator for m in maps))
+        maps = TorusMapModel.from_matrices(
+            mats,
+            [(Fraction(rng.randint(0, 2), rng.choice([1, 2, 3])) % 1,) for _ in mats],
+        )
+        cden = lcm(*(t[0].denominator for t in maps.translations))
         grid = abs(det) * cden
         expected = []
         for i in range(grid):
@@ -195,13 +190,13 @@ def test_brute_force_grid_finds_the_same_solution_set():
                 x = (Fraction(i, grid), Fraction(j, grid))
                 hit = all(
                     (
-                        (m.matrix[0, 0] - maps[0].matrix[0, 0]) * x[0]
-                        + (m.matrix[0, 1] - maps[0].matrix[0, 1]) * x[1]
-                        - (maps[0].translation[0] - m.translation[0])
+                        (a[0, 0] - mats[0][0, 0]) * x[0]
+                        + (a[0, 1] - mats[0][0, 1]) * x[1]
+                        - (maps.translations[0][0] - b[0])
                     )
                     % 1
                     == 0
-                    for m in maps[1:]
+                    for a, b in zip(mats[1:], maps.translations[1:])
                 )
                 if hit:
                     expected.append(x)
@@ -214,20 +209,19 @@ def test_solutions_actually_solve_the_congruence():
     rng = Random(99999)
     for _ in range(100):
         maps = random_transverse_system(rng)
-        first = maps[0]
         for point in solve_coincidences(maps):
             images = []
-            for mp in maps:
+            for mat, translation in zip(maps.matrices, maps.translations):
                 img = tuple(
                     (
                         sum(
-                            mp.matrix[i, j] * point.coordinates[j]
-                            for j in range(mp.matrix.cols)
+                            mat[i, j] * point.coordinates[j]
+                            for j in range(mat.cols)
                         )
-                        + mp.translation[i]
+                        + translation[i]
                     )
                     % 1
-                    for i in range(mp.matrix.rows)
+                    for i in range(mat.rows)
                 )
                 images.append(img)
             assert all(img == images[0] for img in images[1:])
