@@ -98,7 +98,6 @@ class Verdict:
 def check_hypotheses(s: Scenario) -> list[HypothesisResult]:
     """Evaluate every hypothesis any rule may need, with explanations."""
     expected_dim = (s.k - 1) * s.n
-    gate = s.n * (s.k - 1)
     results = [
         HypothesisResult(
             "dimension-match",
@@ -107,8 +106,8 @@ def check_hypotheses(s: Scenario) -> list[HypothesisResult]:
         ),
         HypothesisResult(
             "dimension-gate",
-            gate >= 3,
-            f"n*(k-1) = {gate}, need >= 3 (surfaces need at least three maps)",
+            expected_dim >= 3,
+            f"n*(k-1) = {expected_dim}, need >= 3 (surfaces need at least three maps)",
         ),
         HypothesisResult(
             "source-closed-connected",

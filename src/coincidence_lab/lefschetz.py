@@ -27,7 +27,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .exterior import ExteriorElement, pullback, wedge
-from .matrices import IntegerMatrix
+from .matrices import IntegerMatrix, checked_int64
 
 KIND_INTEGER = "integer"
 KIND_ZERO = "zero"
@@ -178,8 +178,8 @@ def sphere_class(n: int, k: int, hat_degrees: Sequence[int]) -> ClassValue:
     total = 0
     for i in range(k):
         sign = -1 if (i * n) % 2 else 1
-        total += sign * hat_degrees[k - 1 - i]
-    return ClassValue.integer(total, SPHERE_PROVENANCE)
+        total += sign * checked_int64(hat_degrees[k - 1 - i], "sphere degree")
+    return ClassValue.integer(checked_int64(total, "sphere class"), SPHERE_PROVENANCE)
 
 
 @dataclass(frozen=True)

@@ -2,30 +2,28 @@
 
 k affine maps from an m-torus to an n-torus coincide exactly where the
 stacked difference system D x = c holds modulo 1.  When the stacked matrix is
-nonsingular the solution set is finite: diagonalizing D produces one residue
-class per diagonal entry, and back-substitution enumerates all |det D| points.
-Every arithmetic step is over the integers or exact rationals, so the index
-sum this module reports is ground truth for the cohomological computation.
+nonsingular the solution set is finite: x = adj(D) (c + z) / det D mod 1 for
+z in Z^m, and closing the offset adj(D) c / det D under the columns of adj(D)
+enumerates all |det D| points.  Every arithmetic step is over the integers or
+exact rationals, so the index sum this module reports is ground truth for
+the cohomological computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Sequence
 
 from .errors import EnumerationLimit, NonTransverse
 from .lefschetz import TorusMapModel
 from .matrices import IntegerMatrix, stack_rows
-from .snf import SnfResult, smith_normal_form
+from .snf import smith_normal_form  # noqa: F401  perfbench/tracing.py wraps it by name
 
 __all__ = [
     "CoincidencePoint",
     "MAX_ENUMERATED_POINTS",
-    "SnfResult",
-    "smith_normal_form",
     "solve_coincidences",
     "index_sum",
 ]
@@ -89,48 +87,66 @@ def solve_coincidences(
     for other in model.translations[1:]:
         rhs.extend(b1 - bi for b1, bi in zip(first, other))
 
-    snf = smith_normal_form(stacked)
-    diag = snf.diagonal()
-    size = model.m
+    adj = _adjugate(stacked)
+    for i, row in enumerate(adj):
+        for j, col in enumerate(zip(*stacked.entries)):
+            if sum(a * b for a, b in zip(row, col)) != (det if i == j else 0):
+                raise RuntimeError("internal error: adjugate certificate failed")
 
-    # Transformed system: diag[j] * y_j = (U c)_j mod 1, then x = V y.
-    uc = [
-        sum(snf.U[i, j] * rhs[j] for j in range(size))
-        for i in range(size)
-    ]
+    # x = adj (c + z) / det mod 1 for z in Z^m.  Over the common denominator
+    # L |det| this is the offset (z = 0) plus the subgroup generated by the
+    # columns of adj: pure integer arithmetic until the points are built.
+    scale = lcm(*(r.denominator for r in rhs))
+    count = abs(det)
+    common = scale * count
+    numer = [r.numerator * (scale // r.denominator) for r in rhs]
+    offset = tuple(sum(index * a * c for a, c in zip(row, numer)) % common for row in adj)
 
-    # Work over the common denominator L so the enumeration is pure integer
-    # arithmetic; coordinates become fractions num/L only at the end.
-    dens = [Fraction(u).denominator * s for u, s in zip(uc, diag)]
-    common = lcm(*dens) if dens else 1
-    scale = [common // d for d in dens]
-    base = [w * Fraction(u).numerator for w, u in zip(scale, uc)]
-    step = [w * Fraction(u).denominator for w, u in zip(scale, uc)]
-
-    offsets = [
-        sum(snf.V[i, j] * base[j] for j in range(size))
-        for i in range(size)
-    ]
-    columns = [
-        [snf.V[i, j] * step[j] for i in range(size)]
-        for j in range(size)
-    ]
-
-    numerators: list[tuple[int, ...]] = []
-    for residues in product(*(range(s) for s in diag)):
-        point = list(offsets)
-        for j, t in enumerate(residues):
-            if t:
-                col = columns[j]
-                for i in range(size):
-                    point[i] += t * col[i]
-        numerators.append(tuple(v % common for v in point))
-    numerators.sort()
+    # Close the point set under one generator at a time: a multiple of it
+    # either lands on a point already found or shifts every point so far.
+    numerators = [offset]
+    seen = {offset}
+    for column in zip(*adj):
+        gen = tuple(index * scale * a % common for a in column)
+        base = list(numerators)
+        shift = gen
+        while len(numerators) < count and (
+            tuple((a + b) % common for a, b in zip(offset, shift)) not in seen
+        ):
+            layer = [tuple((a + b) % common for a, b in zip(p, shift)) for p in base]
+            numerators.extend(layer)
+            seen.update(layer)
+            shift = tuple((a + b) % common for a, b in zip(shift, gen))
+    if len(numerators) != count:
+        raise RuntimeError(f"internal error: {len(numerators)} points, expected {count}")
 
     return [
         CoincidencePoint(tuple(Fraction(v, common) for v in nums), index)
-        for nums in numerators
+        for nums in sorted(numerators)
     ]
+
+
+def _adjugate(stacked: IntegerMatrix) -> list[list[int]]:
+    """adj(D) by fraction-free Gauss-Jordan elimination on [D | I] (Bareiss).
+
+    Every entry stays a minor of [D | I], so each division is exact; the
+    result is plain ints, since (m-1)-minors may leave the 64-bit range.
+    """
+    size = stacked.rows
+    rows = [list(a + b) for a, b in zip(stacked.entries, IntegerMatrix.identity(size).entries)]
+    previous, sign = 1, 1
+    for k in range(size):
+        pivot = next(i for i in range(k, size) if rows[i][k])
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                rows[i] = [(top[k] * a - row[k] * b) // previous for a, b in zip(row, top)]
+        previous = top[k]
+    # The right block R now satisfies R D = sign * det * I.
+    return [[sign * v for v in row[size:]] for row in rows]
 
 
 def index_sum(points: Sequence[CoincidencePoint]) -> int:

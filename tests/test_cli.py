@@ -282,6 +282,15 @@ def test_non_transverse_solve_is_exit_4(tmp_path, capsys):
     assert "determinant 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degrees", [[10**29, 5], [2**63 - 1, 5]])
+def test_overflowing_sphere_degrees_are_exit_5(tmp_path, capsys, degrees):
+    # a degree past int64, and a total past int64 from in-range degrees
+    doc = {"model": "sphere-degrees", "sphere": {"n": 2, "k": 2, "hat_degrees": degrees}}
+    code = main(["class", str(write_scenario(tmp_path, doc))])
+    assert code == EXIT_OVERFLOW
+    assert "64-bit" in capsys.readouterr().err
+
+
 def test_overflowing_entry_is_exit_5(tmp_path, capsys):
     doc = {
         "model": "torus-affine",
@@ -358,8 +367,9 @@ def test_ragged_matrix_rows_are_dimension_error(tmp_path, capsys):
 
 
 # 4 maps T^9 -> T^3 with det -740, drawn by seed 26 of the benchmark's
-# class-oracle workload: the answer is small, but the Smith normal form
-# certificate reaches an entry of about -2.5e19 and exits 5.
+# class-oracle workload: the answer is small, but a Smith normal form
+# certificate for it reaches an entry of about -2.5e19, past int64.  The
+# solver keeps its intermediates as exact integers, so it must answer.
 SNF_OVERFLOW_MATRICES = [
     [[1, 0, 0, 1, 1, 1, 1, 0, 0], [1, 0, 0, -1, 1, 1, 1, -1, -1], [0, 1, -1, 0, -1, 1, -1, 0, -1]],
     [[-1, 1, 1, 1, 0, -1, -1, -1, -1], [-1, -1, 1, 0, -1, -1, -1, 0, 0], [0, -1, 1, 0, 0, 0, -1, -1, 0]],
@@ -368,10 +378,6 @@ SNF_OVERFLOW_MATRICES = [
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the SNF certificate (U, V) leaves the int64 range",
-)
 def test_small_det_system_with_overflowing_certificate(tmp_path, capsys):
     doc = {
         "model": "torus-affine",

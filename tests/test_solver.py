@@ -225,3 +225,48 @@ def test_solutions_actually_solve_the_congruence():
                 )
                 images.append(img)
             assert all(img == images[0] for img in images[1:])
+
+
+def test_small_det_m12_systems_enumerate_exactly():
+    # 12 x 12 stacked systems with entries in {-1, 0, 1} and a small |det|:
+    # Smith normal form transforms for them can leave int64 although the
+    # answer is small, so this pins the solver to an exact route.
+    from math import lcm
+
+    rng = Random(3)
+    draws = 0
+    while draws < 24:
+        n = (2, 3, 4, 6)[draws % 4]
+        k = 12 // n + 1
+        mats = [
+            IntegerMatrix([[rng.randint(-1, 1) for _ in range(12)] for _ in range(n)])
+            for _ in range(k)
+        ]
+        translations = [
+            tuple(Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(k)
+        ]
+        maps = TorusMapModel.from_matrices(mats, translations)
+        det = stacked_difference(maps).det()
+        if not 0 < abs(det) <= 600:
+            continue
+        draws += 1
+        points = solve_coincidences(maps)
+        seq = [p.coordinates for p in points]
+        assert len(seq) == abs(det)
+        assert all(a < b for a, b in zip(seq, seq[1:]))
+        shift_den = lcm(*(t.denominator for tr in maps.translations for t in tr))
+        for x in seq:
+            # all images agree mod 1: exact numerators over one denominator q
+            q = shift_den * lcm(*(c.denominator for c in x))
+            nums = [c.numerator * (q // c.denominator) for c in x]
+            images = {
+                tuple(
+                    (sum(a * v for a, v in zip(row, nums)) + t.numerator * (q // t.denominator))
+                    % q
+                    for row, t in zip(mat.entries, translation)
+                )
+                for mat, translation in zip(maps.matrices, maps.translations)
+            }
+            assert len(images) == 1
+        assert index_sum(points) == multi_class_torus(maps).value
