@@ -15,7 +15,9 @@ to keep floats out of the pipeline entirely.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -59,8 +61,7 @@ from .matrices import IntegerMatrix
 # stacked_difference is not called here; it stays bound because
 # perfbench/tracing.py wraps it by name on this module.
 from .solver import (  # noqa: F401
-    CoincidencePoint,
-    index_sum,
+    format_coordinate,
     solve_coincidences,
     stacked_difference,
 )
@@ -350,7 +351,7 @@ def compute_class(document: dict) -> tuple[ClassValue, dict]:
         except (NonTransverse, EnumerationLimit):
             # no finite point set within budget: the class stands unchecked
             return value, {}
-        total = index_sum(points)
+        total = points.local_index * len(points)
         return value, {"index_sum": total, "oracle_agrees": total == value.value}
     if model == "sphere-degrees":
         payload = document["sphere"]
@@ -368,10 +369,10 @@ def render_class(value: ClassValue) -> dict:
     }
 
 
-def render_point(point: CoincidencePoint) -> dict:
+def render_point(numerators: tuple[int, ...], denominator: int, local_index: int) -> dict:
     return {
-        "coordinates": [str(c) for c in point.coordinates],
-        "index": point.local_index,
+        "coordinates": [format_coordinate(v, denominator) for v in numerators],
+        "index": local_index,
     }
 
 
@@ -398,10 +399,11 @@ def cmd_solve(path: str) -> dict:
     system = build_affine_maps(document["torus"])
     points = solve_coincidences(system)
     value = multi_class_torus(system)
+    d, index = points.denominator, points.local_index
     return {
         "class": render_class(value),
-        "coincidence_points": [render_point(p) for p in points],
-        "index_sum": index_sum(points),
+        "coincidence_points": [render_point(nums, d, index) for nums in points.numerators],
+        "index_sum": index * len(points),
         "inputs_echo": document,
     }
 
@@ -477,6 +479,31 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def write_report(path: str, text: str) -> None:
+    """Write through a temporary file beside ``path``, then rename it onto ``path``.
+
+    A failed write leaves an existing report untouched and no temporary file.
+    A symlink is followed, so the file it names is replaced, not the link.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or a pipe cannot be renamed over; write to it directly
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 _COMMANDS = {"class": cmd_class, "solve": cmd_solve, "decide": cmd_decide}
 
 _EXIT_CODES: list[tuple[type, int]] = [
@@ -531,8 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     text = render_report(report)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            write_report(args.output, text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_SCHEMA

@@ -4,17 +4,23 @@ k affine maps from an m-torus to an n-torus coincide exactly where the
 stacked difference system D x = c holds modulo 1.  When the stacked matrix is
 nonsingular the solution set is finite: x = adj(D) (c + z) / det D mod 1 for
 z in Z^m, and closing the offset adj(D) c / det D under the columns of adj(D)
-enumerates all |det D| points.  Every arithmetic step is over the integers or
-exact rationals, so the index sum this module reports is ground truth for
-the cohomological computation.
+enumerates all |det D| points.  Every arithmetic step is over the integers, so
+the index sum this module reports is ground truth for the cohomological
+computation.
+
+The points stay exact integer numerators over one common denominator in a
+:class:`PointSet`.  Counting them builds nothing; a :class:`CoincidencePoint`
+with ``Fraction`` coordinates is built only when a caller indexes or iterates
+the set, and reports render coordinates straight from the numerators with
+:func:`format_coordinate`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
 
 from .errors import EnumerationLimit, NonTransverse
 from .lefschetz import TorusMapModel
@@ -24,6 +30,8 @@ from .snf import smith_normal_form  # noqa: F401  perfbench/tracing.py wraps it 
 __all__ = [
     "CoincidencePoint",
     "MAX_ENUMERATED_POINTS",
+    "PointSet",
+    "format_coordinate",
     "solve_coincidences",
     "index_sum",
 ]
@@ -49,6 +57,50 @@ class CoincidencePoint:
                 raise ValueError(f"coordinate {c} is not reduced into [0, 1)")
 
 
+@dataclass(frozen=True)
+class PointSet(Sequence[CoincidencePoint]):
+    """A coincidence set as exact numerators over one common denominator.
+
+    Point i has coordinates ``numerators[i][j] / denominator`` and index
+    ``local_index``.  ``len`` costs nothing; indexing and iteration build each
+    :class:`CoincidencePoint` on demand, and slicing returns a smaller set.
+    """
+
+    denominator: int
+    numerators: tuple[tuple[int, ...], ...]
+    local_index: int
+
+    def __post_init__(self):
+        if self.local_index == 0:
+            raise ValueError("local index must be nonzero")
+        d = self.denominator
+        if not all(0 <= v < d for nums in self.numerators for v in nums):
+            raise ValueError(f"a numerator is not reduced into [0, {d})")
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PointSet(self.denominator, self.numerators[i], self.local_index)
+        return self._point(self.numerators[i])
+
+    def __iter__(self):
+        return map(self._point, self.numerators)
+
+    def _point(self, nums: tuple[int, ...]) -> CoincidencePoint:
+        d = self.denominator
+        return CoincidencePoint(tuple(Fraction(v, d) for v in nums), self.local_index)
+
+
+def format_coordinate(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` without building the Fraction."""
+    if numerator == 0:
+        return "0"
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
+
+
 def stacked_difference(model: TorusMapModel) -> IntegerMatrix:
     """Row-stack of A_i - A_1 for i = 2..k; square exactly when m = (k-1) n."""
     first = model.matrices[0]
@@ -58,7 +110,7 @@ def stacked_difference(model: TorusMapModel) -> IntegerMatrix:
 def solve_coincidences(
     model: TorusMapModel,
     max_points: int = MAX_ENUMERATED_POINTS,
-) -> list[CoincidencePoint]:
+) -> PointSet:
     """Enumerate the coincidence set of a transverse affine system.
 
     Raises NonTransverse when the stacked difference matrix is singular; the
@@ -88,14 +140,15 @@ def solve_coincidences(
         rhs.extend(b1 - bi for b1, bi in zip(first, other))
 
     adj = _adjugate(stacked)
+    columns = list(zip(*stacked.entries))
     for i, row in enumerate(adj):
-        for j, col in enumerate(zip(*stacked.entries)):
+        for j, col in enumerate(columns):
             if sum(a * b for a, b in zip(row, col)) != (det if i == j else 0):
                 raise RuntimeError("internal error: adjugate certificate failed")
 
     # x = adj (c + z) / det mod 1 for z in Z^m.  Over the common denominator
     # L |det| this is the offset (z = 0) plus the subgroup generated by the
-    # columns of adj: pure integer arithmetic until the points are built.
+    # columns of adj: pure integer arithmetic, and the points stay that way.
     scale = lcm(*(r.denominator for r in rhs))
     count = abs(det)
     common = scale * count
@@ -120,10 +173,8 @@ def solve_coincidences(
     if len(numerators) != count:
         raise RuntimeError(f"internal error: {len(numerators)} points, expected {count}")
 
-    return [
-        CoincidencePoint(tuple(Fraction(v, common) for v in nums), index)
-        for nums in sorted(numerators)
-    ]
+    # Sorting numerators over one denominator sorts the coordinates.
+    return PointSet(common, tuple(sorted(numerators)), index)
 
 
 def _adjugate(stacked: IntegerMatrix) -> list[list[int]]:

@@ -344,6 +344,92 @@ def test_unwritable_output_is_schema_error(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_failed_output_write_keeps_existing_report(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    from coincidence_lab import cli
+
+    def open_then_fail_midway(file, *args, **kwargs):
+        # a real handle whose write stores half the text, then fails
+        handle = builtins.open(file, *args, **kwargs)
+        real_write = handle.write
+
+        def write(text):
+            real_write(text[: len(text) // 2])
+            handle.flush()
+            raise OSError(28, "No space left on device")
+
+        handle.write = write
+        return handle
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "report.json"
+    target.write_text("previous report\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "open", open_then_fail_midway, raising=False)
+    code = main(["solve", str(path), "--output", str(target)])
+    assert code == EXIT_SCHEMA
+    assert "error: cannot write report:" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "previous report\n"
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+
+    monkeypatch.undo()
+    assert main(["solve", str(path), "--output", str(target)]) == EXIT_OK
+    assert json.loads(target.read_text(encoding="utf-8"))["index_sum"] == 6
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+
+
+def test_output_follows_symlinks(tmp_path, capsys):
+    path = write_scenario(tmp_path, TORUS_DOC)
+    real = tmp_path / "real.json"
+    real.write_text("previous report\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert main(["class", str(path), "--output", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(real.read_text(encoding="utf-8"))["index_sum"] == 6
+
+
+def test_output_to_a_pipe_is_written_not_replaced(tmp_path, capsys):
+    import os
+    import stat
+    import threading
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+
+    def read_pipe():
+        with open(pipe, encoding="utf-8") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read_pipe, daemon=True)
+    reader.start()
+    assert main(["class", str(path), "--output", str(pipe)]) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert json.loads(received[0])["index_sum"] == 6
+
+
+def test_class_counts_points_without_building_them(tmp_path, capsys, monkeypatch):
+    from coincidence_lab import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class built a CoincidencePoint")
+
+    monkeypatch.setattr(solver, "CoincidencePoint", refuse)
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["torus"]["maps"][1]["translation"] = ["1/2"]
+    code, out = run("class", write_scenario(tmp_path, doc), capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["oracle_agrees"] is True
+    assert report["index_sum"] == report["class"]["value"] == 6
+
+
 def test_translation_length_mismatch_is_dimension_error(tmp_path, capsys):
     doc = json.loads(json.dumps(TORUS_DOC))
     doc["torus"]["maps"][1]["translation"] = ["1/2", "1/3"]

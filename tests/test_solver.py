@@ -2,18 +2,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincidence_lab import (
     CoincidencePoint,
     DimensionMismatch,
     IntegerMatrix,
     NonTransverse,
+    PointSet,
     index_sum,
     multi_class_torus,
     solve_coincidences,
     stacked_difference,
     TorusMapModel,
 )
+from coincidence_lab.solver import format_coordinate
 
 from _oracles import perm_det, random_transverse_system
 
@@ -111,7 +115,42 @@ def test_point_validation():
         CoincidencePoint((Fraction(3, 2),), 1)
 
 
+def test_point_set_is_a_lazy_sequence():
+    points = solve_coincidences(system([[0, 0]], [[-2, 0]], [[0, 3]]))
+    assert isinstance(points, PointSet)
+    assert (points.denominator, points.local_index) == (6, -1)
+    assert points.numerators == ((0, 0), (0, 2), (0, 4), (3, 0), (3, 2), (3, 4))
+    assert points[-1] == CoincidencePoint((Fraction(1, 2), Fraction(2, 3)), -1)
+    assert list(points[1:3]) == [points[1], points[2]]
+    assert list(points) == [points[i] for i in range(len(points))]
+    with pytest.raises(ValueError):
+        PointSet(6, ((0, 6),), 1)
+    with pytest.raises(ValueError):
+        PointSet(6, ((0, 0),), 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_format_coordinate_matches_fraction_str(data):
+    d = data.draw(st.integers(min_value=1, max_value=10**30))
+    v = data.draw(st.integers(min_value=0, max_value=d - 1))
+    assert format_coordinate(v, d) == str(Fraction(v, d))
+
+
 # --- randomized properties ----------------------------------------------------
+
+
+def test_lazy_points_are_the_numerators_over_the_denominator():
+    rng = Random(16180)
+    for _ in range(300):
+        maps = random_transverse_system(rng)
+        det = perm_det([list(r) for r in stacked_difference(maps).entries])
+        points = solve_coincidences(maps)
+        d = points.denominator
+        for point, nums in zip(points, points.numerators, strict=True):
+            assert point.coordinates == tuple(Fraction(v, d) for v in nums)
+            assert point.local_index == points.local_index
+        assert index_sum(points) == points.local_index * len(points) == det
 
 
 def test_oracle_equality_randomized():
