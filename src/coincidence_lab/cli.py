@@ -19,6 +19,8 @@ import contextlib
 import json
 import os
 import re
+import secrets
+import stat
 import sys
 from fractions import Fraction
 from typing import Any
@@ -479,29 +481,76 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path: str, text: str) -> None:
-    """Write through a temporary file beside ``path``, then rename it onto ``path``.
+# /dev/stdout, /dev/stderr, /dev/fd/N and /proc/<pid>/fd/N name an open stream
+_STREAM_NAME = re.compile(r"/(dev/(fd/|std(in|out|err)$)|proc/[^/]+/fd/)")
 
-    A failed write leaves an existing report untouched and no temporary file.
-    A symlink is followed, so the file it names is replaced, not the link.
+
+def _names_a_stream(path: str) -> bool:
+    """True when ``path`` is, or links through, a stream name such as /dev/stdout."""
+    for _ in range(40):
+        path = os.path.abspath(path)
+        if _STREAM_NAME.match(path):
+            return True
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return False
+
+
+def write_report(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, replacing an existing report atomically.
+
+    A new or existing regular file is written to a uniquely named temporary
+    file beside it, flushed to disk and renamed onto it, so a failed or
+    interrupted run leaves an earlier report untouched and no temporary file.
+    A symlink is followed, so the file it names is replaced, not the link,
+    and a replaced file keeps its permission bits (not its owner or ACLs).
+    The path is written in place instead where a rename would not replace
+    what the path means: a stream name (appended to, so ``>> log`` keeps the
+    log), a device or pipe, a file with other hard links, a file the user
+    cannot write (so this fails as before) or a file in a directory the user
+    cannot write.
     """
+    if _names_a_stream(path):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device or a pipe cannot be renamed over; write to it directly
+    directory, name = os.path.split(target)
+    try:
+        status = os.stat(target)
+    except FileNotFoundError:
+        status = None
+    if status is not None and (
+        not stat.S_ISREG(status.st_mode)
+        or status.st_nlink > 1
+        or not os.access(target, os.W_OK)
+        or not os.access(directory, os.W_OK | os.X_OK)
+    ):
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    temporary = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if status is not None:
+            os.chmod(temporary, stat.S_IMODE(status.st_mode))
         os.replace(temporary, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(temporary)
         raise
+    with contextlib.suppress(OSError):
+        # make the rename itself durable where the platform allows it
+        descriptor = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
 
 
 _COMMANDS = {"class": cmd_class, "solve": cmd_solve, "decide": cmd_decide}

@@ -414,6 +414,115 @@ def test_output_to_a_pipe_is_written_not_replaced(tmp_path, capsys):
     assert json.loads(received[0])["index_sum"] == 6
 
 
+def run_cli_process(args, **kwargs):
+    import os
+    import subprocess
+    import sys
+
+    import coincidence_lab
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(coincidence_lab.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "coincidence_lab.cli", *args],
+        env=env, timeout=60, check=False, **kwargs,
+    )
+
+
+def test_output_to_piped_dev_stdout_is_written(tmp_path):
+    import subprocess
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    done = run_cli_process(
+        ["class", str(path), "--output", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["index_sum"] == 6
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_output_to_appended_dev_stdout_keeps_the_log(tmp_path):
+    path = write_scenario(tmp_path, TORUS_DOC)
+    log = tmp_path / "all.log"
+    log.write_text("earlier line\n", encoding="utf-8")
+    for _ in range(2):
+        with open(log, "a", encoding="utf-8") as appended:
+            done = run_cli_process(
+                ["class", str(path), "--output", "/dev/stdout"], stdout=appended
+            )
+        assert done.returncode == EXIT_OK
+    text = log.read_text(encoding="utf-8")
+    assert text.startswith("earlier line\n")
+    report = text[len("earlier line\n"):]
+    assert report[: len(report) // 2] == report[len(report) // 2:]
+    assert json.loads(report[: len(report) // 2])["index_sum"] == 6
+
+
+def test_stale_temporary_file_does_not_block_output(tmp_path, capsys):
+    import os
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    stale = out_dir / f".report.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run\n", encoding="utf-8")
+    target = out_dir / "report.json"
+    assert main(["class", str(path), "--output", str(target)]) == EXIT_OK
+    assert json.loads(target.read_text(encoding="utf-8"))["index_sum"] == 6
+    assert sorted(p.name for p in out_dir.iterdir()) == [stale.name, "report.json"]
+
+
+def test_replaced_output_keeps_its_permission_bits(tmp_path, capsys):
+    import os
+    import stat
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n", encoding="utf-8")
+    target.chmod(0o640)
+    before = os.stat(target).st_ino
+    assert main(["class", str(path), "--output", str(target)]) == EXIT_OK
+    assert os.stat(target).st_ino != before
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+    assert json.loads(target.read_text(encoding="utf-8"))["index_sum"] == 6
+
+
+@pytest.mark.parametrize("case", ["hard-link", "read-only-file", "read-only-directory"])
+def test_output_written_in_place_where_a_rename_would_change_the_file(
+    tmp_path, capsys, monkeypatch, case
+):
+    import os
+
+    from coincidence_lab import cli
+
+    path = write_scenario(tmp_path, TORUS_DOC)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "report.json"
+    target.write_text("previous report\n", encoding="utf-8")
+    if case == "hard-link":
+        os.link(target, tmp_path / "other-name.json")
+    else:
+        # the answer the kernel gives a user without write permission; a
+        # superuser is always allowed, so it is imitated here
+        denied = str(target if case == "read-only-file" else out_dir)
+        real_access = os.access
+        monkeypatch.setattr(
+            cli.os, "access",
+            lambda name, mode: False if str(name) == denied else real_access(name, mode),
+        )
+    before = os.stat(target).st_ino
+    assert main(["class", str(path), "--output", str(target)]) == EXIT_OK
+    monkeypatch.undo()
+    assert os.stat(target).st_ino == before
+    assert json.loads(target.read_text(encoding="utf-8"))["index_sum"] == 6
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    if case == "hard-link":
+        other = (tmp_path / "other-name.json").read_text(encoding="utf-8")
+        assert other == target.read_text(encoding="utf-8")
+
+
 def test_class_counts_points_without_building_them(tmp_path, capsys, monkeypatch):
     from coincidence_lab import solver
 
