@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -247,6 +248,9 @@ _SCENARIO_SCHEMA = {
     },
 }
 
+# built once: main() may run many commands in one process
+_SCENARIO_VALIDATOR = jsonschema.Draft202012Validator(_SCENARIO_SCHEMA)
+
 _MODEL_PAYLOAD_KEY = {
     "torus-affine": "torus",
     "sphere-degrees": "sphere",
@@ -270,10 +274,20 @@ def load_scenario(path: str) -> dict:
             )
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise SchemaError(f"scenario file is nested too deeply: {exc}") from exc
+    except SchemaError:  # a float literal, already worded by _reject_float
+        raise
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer literal
+        # longer than Python's int-from-string digit limit
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(_SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    try:
+        errors = sorted(
+            _SCENARIO_VALIDATOR.iter_errors(document), key=lambda e: list(e.absolute_path)
+        )
+    except RecursionError as exc:
+        raise SchemaError(f"scenario file is nested too deeply: {exc}") from exc
     if errors:
         err = errors[0]
         location = "/".join(str(p) for p in err.absolute_path) or "(top level)"
@@ -415,8 +429,9 @@ def cmd_decide(path: str) -> dict:
     if "decider" not in document:
         raise SchemaError("field decider: the decide command requires this block")
     block = document["decider"]
-    value, extras = compute_class(document)
+    # before the class work, which can be exponential in the source dimension
     _check_decider_consistency(document, block)
+    value, extras = compute_class(document)
     scenario = Scenario(
         k=block["k"],
         n=block["n"],
@@ -567,7 +582,9 @@ _EXIT_CODES: list[tuple[type, int]] = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coincidence-lab",
         description="Exact coincidence classes, coincidence sets and "

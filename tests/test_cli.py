@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import re
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincidence_lab.cli import (
     EXIT_DIMENSION,
@@ -11,6 +18,7 @@ from coincidence_lab.cli import (
     EXIT_TRANSVERSALITY,
     main,
 )
+from coincidence_lab.decider import JiangType
 
 GOLDEN_CASES = [
     ("example-7.1-pair.json", "decide", "example-7.1-pair.decide.json"),
@@ -52,6 +60,21 @@ TORUS_DOC = {
             {"matrix": [[2, 0]]},
             {"matrix": [[0, 3]]},
         ],
+    },
+}
+
+TORUS_DECIDER = {
+    "k": 3,
+    "n": 1,
+    "dim_M": 2,
+    "M": {"closed": True, "connected": True, "oriented": True},
+    "N": {
+        "closed": True,
+        "connected": True,
+        "orientable": True,
+        "simply_connected": False,
+        "jiang_type": "jiang",
+        "aspherical": True,
     },
 }
 
@@ -204,6 +227,38 @@ def test_missing_file_is_schema_error(tmp_path):
     assert main(["class", str(tmp_path / "nope.json")]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"model": "\xff"}', b'{"model": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf-8", "integer-past-the-digit-limit"],
+)
+def test_undecodable_file_is_schema_error(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["class", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: scenario file is not valid JSON: ")
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_file_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    # alone, as an extra key, and as a matrix entry at every depth near the
+    # recursion limit, where parsing succeeds and validation recurses instead
+    limit = sys.getrecursionlimit()
+    texts = [nested(5000), '{"model": "facts", "extra": %s}' % nested(5000)] + [
+        '{"model": "torus-affine", "torus": {"source_dim": 1, "target_dim": 1, '
+        '"maps": [{"matrix": [[%s]]}, {"matrix": [[1]]}]}}' % nested(depth)
+        for depth in range(limit - 300, limit + 1)
+    ]
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        assert main(["class", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_rational_string_is_schema_error(tmp_path, capsys):
     doc = {
         "model": "torus-affine",
@@ -266,6 +321,21 @@ def test_model_decider_disagreement_is_dimension_error(tmp_path, capsys):
     code = main(["decide", str(write_scenario(tmp_path, doc))])
     assert code == EXIT_DIMENSION
     assert "decider/k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("k", 2), ("n", 2), ("dim_M", 3)])
+def test_decider_block_is_checked_before_the_class(tmp_path, capsys, monkeypatch, field, value):
+    from coincidence_lab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide computed the class before checking its block")
+
+    monkeypatch.setattr(cli, "multi_class_torus", refuse)
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["decider"] = dict(TORUS_DECIDER, **{field: value})
+    code = main(["decide", str(write_scenario(tmp_path, doc))])
+    assert code == EXIT_DIMENSION
+    assert f"decider/{field}" in capsys.readouterr().err
 
 
 def test_non_transverse_solve_is_exit_4(tmp_path, capsys):
@@ -603,3 +673,204 @@ def test_undeclared_fact_identifier_is_schema_error(tmp_path, capsys):
     code = main(["class", str(write_scenario(tmp_path, doc))])
     assert code == EXIT_SCHEMA
     assert "ghost" in capsys.readouterr().err
+
+
+# --- many commands in one process ----------------------------------------------
+
+MATRIX_ENTRIES = st.integers(-1, 1)
+RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 6)),
+)
+
+
+@st.composite
+def decider_blocks(draw, k, n, dim_M):
+    # a block that mostly agrees with its payload; a mutation may break that
+    return {
+        "k": k,
+        "n": n,
+        "dim_M": dim_M,
+        "M": {key: draw(st.booleans()) for key in ("closed", "connected", "oriented")},
+        "N": {
+            **{
+                key: draw(st.booleans())
+                for key in ("closed", "connected", "orientable", "simply_connected", "aspherical")
+            },
+            "jiang_type": draw(st.sampled_from([t.value for t in JiangType])),
+        },
+        "obstruction_known_zero": draw(st.sampled_from([None, True, False])),
+        "notes": draw(st.lists(st.text(max_size=8), max_size=2)),
+    }
+
+
+@st.composite
+def torus_documents(draw):
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(2, 6 // n + 1))
+    m = draw(st.sampled_from([(k - 1) * n, (k - 1) * n, min(6, (k - 1) * n + 1)]))
+    rows = st.lists(MATRIX_ENTRIES, min_size=m, max_size=m)
+    maps = []
+    for _ in range(k):
+        record = {"matrix": draw(st.lists(rows, min_size=n, max_size=n))}
+        if draw(st.booleans()):
+            record["translation"] = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        maps.append(record)
+    doc = {"model": "torus-affine", "torus": {"source_dim": m, "target_dim": n, "maps": maps}}
+    if draw(st.booleans()):
+        doc["decider"] = draw(decider_blocks(k, n, m))
+    return doc
+
+
+@st.composite
+def sphere_documents(draw):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    degrees = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    doc = {
+        "model": "sphere-degrees",
+        "sphere": {"n": n, "k": k, "hat_degrees": draw(st.lists(degrees, min_size=k, max_size=k))},
+    }
+    if draw(st.booleans()):
+        doc["decider"] = draw(decider_blocks(k, n, draw(st.integers(1, 8))))
+    return doc
+
+
+@st.composite
+def facts_documents(draw):
+    k = draw(st.integers(2, 3))
+    ids = ["f", "g", "h"][:k]
+    names = st.sampled_from(ids + ["ghost"])
+    fact = st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("pair-class-zero"), "i": st.integers(1, 4), "j": st.integers(1, 4),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("cohomology-group-vanishes"),
+            "space": st.sampled_from(["X", "Y"]),
+            "degree": st.integers(0, 4),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("fundamental-class-pullback-vanishes"), "map": names,
+        }),
+    )
+    payload = {"k": k, "facts": draw(st.lists(fact, max_size=3))}
+    if draw(st.booleans()):
+        payload["maps"] = [{"id": i, "constant": draw(st.booleans())} for i in ids]
+    if draw(st.booleans()):
+        payload["space"] = {"id": "X", "class_degree": draw(st.integers(0, 4))}
+    doc = {"model": "facts", "facts": payload}
+    if draw(st.booleans()):
+        doc["decider"] = draw(decider_blocks(k, draw(st.integers(1, 4)), draw(st.integers(1, 8))))
+    return doc
+
+
+def locations(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from locations(child, path + (key,))
+
+
+MUTATIONS = ["drop", "unknown-key", "wrong-type", "extra-entry", "bad-rational"]
+
+
+@st.composite
+def mutated(draw, doc):
+    """One mutation: a dropped key, an unknown key, a wrong type, an extra
+    list entry (a shape mismatch) or a bad rational string."""
+    doc = json.loads(json.dumps(doc))
+    how = draw(st.sampled_from(MUTATIONS))
+    wanted = {"unknown-key": dict, "extra-entry": list}.get(how, object)
+    where = [p for p, node in locations(doc) if isinstance(node, wanted) and (p or wanted is dict)]
+    if not where:
+        return doc
+    path = draw(st.sampled_from(where))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "unknown-key":
+        (parent[path[-1]] if path else doc)["surprise"] = 1
+    elif how == "extra-entry":
+        node = parent[path[-1]]
+        node.append(json.loads(json.dumps(node[-1])) if node else 0)
+    elif how == "wrong-type":
+        parent[path[-1]] = draw(st.sampled_from(["x", [], {}, True, None, -1, 2**64]))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(["1/0", "1/-2", "one", "1.5", "2/3/4"]))
+    return doc
+
+
+DOCUMENTS = st.one_of(torus_documents(), torus_documents(), sphere_documents(), facts_documents())
+RAW_FILES = [b"{not json", b'{"model": "\xff"}', b'{"model": 1.5}', b"[" * 3000, b""]
+USAGE_ERRORS = [
+    [], ["bogus", "{path}"], ["class"], ["solve", "{path}", "x"], ["decide", "{path}", "--output"]
+]
+
+
+@st.composite
+def calls(draw):
+    """argv for one command, with the bytes of its scenario file (or None)."""
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "mutated", "raw", "usage"]))
+    if kind == "usage":
+        return draw(st.sampled_from(USAGE_ERRORS)), None
+    if kind == "raw":
+        content = draw(st.sampled_from(RAW_FILES))
+    else:
+        doc = draw(DOCUMENTS)
+        if kind == "mutated":
+            doc = draw(mutated(doc))
+        content = json.dumps(doc).encode()
+    command = draw(st.sampled_from(["class", "solve", "decide"]))
+    return [command, "{path}"] + draw(st.sampled_from([[], ["--quiet"]])), content
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's usage errors; they are never a report
+            assert exc.code == EXIT_SCHEMA and "usage:" in err.getvalue()
+            code = "usage"
+    return code, out.getvalue(), err.getvalue()
+
+
+EXIT_CODES = {"usage", EXIT_OK, EXIT_SCHEMA, EXIT_DIMENSION, EXIT_TRANSVERSALITY, EXIT_OVERFLOW}
+
+
+def reject_float(literal):
+    raise AssertionError(f"float {literal} in a report")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(calls(), min_size=1, max_size=6))
+def test_commands_in_one_process_share_no_state(call_list):
+    with tempfile.TemporaryDirectory() as directory:
+        runs = []
+        for index, (argv, content) in enumerate(call_list):
+            path = os.path.join(directory, f"scenario-{index}.json")
+            if content is not None:
+                with open(path, "wb") as handle:
+                    handle.write(content)
+            runs.append([a.replace("{path}", path) for a in argv])
+        results = [call_main(argv) for argv in runs]
+        for argv, (code, out, err) in zip(runs, results):
+            assert code in EXIT_CODES
+            if code == EXIT_OK:
+                assert err == ""
+                if "--quiet" not in argv:
+                    json.loads(out, parse_float=reject_float, parse_constant=reject_float)
+            else:
+                assert out == ""
+                assert code == "usage" or err.startswith("error: ")
+        # the same bytes again, in the other order, after all the other calls
+        for argv, result in reversed(list(zip(runs, results))):
+            assert call_main(argv) == result
