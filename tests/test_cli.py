@@ -338,6 +338,24 @@ def test_decider_block_is_checked_before_the_class(tmp_path, capsys, monkeypatch
     assert f"decider/{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record,expected,fragment",
+    [
+        # the schema runs while loading, so a bad rational still wins
+        ({"matrix": [[2, 0]], "translation": ["1/0"]}, EXIT_SCHEMA, "translation/0"),
+        # an overflowing entry is found by the class work, after the block check
+        ({"matrix": [[2**63, 0]]}, EXIT_DIMENSION, "decider/k"),
+    ],
+)
+def test_decider_block_precedence(tmp_path, capsys, record, expected, fragment):
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["torus"]["maps"][1] = record
+    doc["decider"] = dict(TORUS_DECIDER, k=2)
+    code = main(["decide", str(write_scenario(tmp_path, doc))])
+    assert code == expected
+    assert fragment in capsys.readouterr().err
+
+
 def test_non_transverse_solve_is_exit_4(tmp_path, capsys):
     doc = {
         "model": "torus-affine",
