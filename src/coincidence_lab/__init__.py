@@ -3,135 +3,96 @@
 Public surface re-exported here: exterior algebra, group rings with the
 signed conjugation action, the class computations, the affine solver, and
 the verdict engine.  The command line lives in :mod:`coincidence_lab.cli`.
+
+The re-exports are resolved on first access (PEP 562), so importing one
+module, the command line included, loads only the modules it uses.
 """
 
-from .errors import (
-    ArityMismatch,
-    CoincidenceLabError,
-    DimensionMismatch,
-    EnumerationLimit,
-    GroupMismatch,
-    IndexOutOfRange,
-    IntegerOverflow,
-    NonTransverse,
-    RankMismatch,
-    SchemaError,
-    UnknownIdentifier,
-)
-from .matrices import IntegerMatrix, stack_rows
-from .exterior import ExteriorElement, pullback, top_coefficient, wedge
-from .group_ring import (
-    AbelianGroupSpec,
-    GroupElement,
-    GroupRingElement,
-    Homomorphism,
-    HomSystem,
-    OrientationCharacter,
-    act,
-    augment,
-    induced_act,
-)
-from .snf import SnfResult, smith_normal_form
-from .solver import (
-    MAX_ENUMERATED_POINTS,
-    CoincidencePoint,
-    PointSet,
-    index_sum,
-    solve_coincidences,
-    stacked_difference,
-)
-from .lefschetz import (
-    ClassValue,
-    CohomologyFact,
-    CohomologyGroupVanishes,
-    FactContext,
-    PairClassZero,
-    PullbackOfFundamentalClassVanishes,
-    TorusMapModel,
-    class_from_facts,
-    multi_class_torus,
-    pair_class_torus,
-    sphere_class,
-)
-from .decider import (
-    DEFORMABLE_FREE,
-    INCONCLUSIVE,
-    NOT_DEFORMABLE,
-    RULE_JIANG,
-    RULE_NONZERO_CLASS,
-    RULE_PRIMARY_OBSTRUCTION,
-    RULE_SIMPLY_CONNECTED,
-    HypothesisResult,
-    JiangType,
-    Scenario,
-    SourceManifold,
-    TargetManifold,
-    Verdict,
-    check_hypotheses,
-    decide,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupSpec",
-    "ArityMismatch",
-    "ClassValue",
-    "CohomologyFact",
-    "CohomologyGroupVanishes",
-    "CoincidenceLabError",
-    "CoincidencePoint",
-    "DEFORMABLE_FREE",
-    "DimensionMismatch",
-    "EnumerationLimit",
-    "ExteriorElement",
-    "FactContext",
-    "GroupElement",
-    "GroupMismatch",
-    "GroupRingElement",
-    "HomSystem",
-    "Homomorphism",
-    "HypothesisResult",
-    "INCONCLUSIVE",
-    "IndexOutOfRange",
-    "IntegerMatrix",
-    "IntegerOverflow",
-    "JiangType",
-    "MAX_ENUMERATED_POINTS",
-    "NOT_DEFORMABLE",
-    "NonTransverse",
-    "OrientationCharacter",
-    "PairClassZero",
-    "PointSet",
-    "PullbackOfFundamentalClassVanishes",
-    "RULE_JIANG",
-    "RULE_NONZERO_CLASS",
-    "RULE_PRIMARY_OBSTRUCTION",
-    "RULE_SIMPLY_CONNECTED",
-    "RankMismatch",
-    "Scenario",
-    "SchemaError",
-    "SnfResult",
-    "SourceManifold",
-    "TargetManifold",
-    "TorusMapModel",
-    "UnknownIdentifier",
-    "Verdict",
-    "act",
-    "augment",
-    "check_hypotheses",
-    "class_from_facts",
-    "decide",
-    "index_sum",
-    "induced_act",
-    "multi_class_torus",
-    "pair_class_torus",
-    "pullback",
-    "smith_normal_form",
-    "solve_coincidences",
-    "sphere_class",
-    "stack_rows",
-    "stacked_difference",
-    "top_coefficient",
-    "wedge",
-]
+_EXPORTS = {
+    "errors": [
+        "ArityMismatch",
+        "CoincidenceLabError",
+        "DimensionMismatch",
+        "EnumerationLimit",
+        "GroupMismatch",
+        "IndexOutOfRange",
+        "IntegerOverflow",
+        "NonTransverse",
+        "RankMismatch",
+        "SchemaError",
+        "UnknownIdentifier",
+    ],
+    "matrices": ["IntegerMatrix", "stack_rows"],
+    "exterior": ["ExteriorElement", "pullback", "top_coefficient", "wedge"],
+    "group_ring": [
+        "AbelianGroupSpec",
+        "GroupElement",
+        "GroupRingElement",
+        "Homomorphism",
+        "HomSystem",
+        "OrientationCharacter",
+        "act",
+        "augment",
+        "induced_act",
+    ],
+    "snf": ["SnfResult", "smith_normal_form"],
+    "solver": [
+        "MAX_ENUMERATED_POINTS",
+        "CoincidencePoint",
+        "PointSet",
+        "index_sum",
+        "solve_coincidences",
+        "stacked_difference",
+    ],
+    "lefschetz": [
+        "ClassValue",
+        "CohomologyFact",
+        "CohomologyGroupVanishes",
+        "FactContext",
+        "PairClassZero",
+        "PullbackOfFundamentalClassVanishes",
+        "TorusMapModel",
+        "class_from_facts",
+        "multi_class_torus",
+        "pair_class_torus",
+        "sphere_class",
+    ],
+    "decider": [
+        "DEFORMABLE_FREE",
+        "INCONCLUSIVE",
+        "NOT_DEFORMABLE",
+        "RULE_JIANG",
+        "RULE_NONZERO_CLASS",
+        "RULE_PRIMARY_OBSTRUCTION",
+        "RULE_SIMPLY_CONNECTED",
+        "HypothesisResult",
+        "JiangType",
+        "Scenario",
+        "SourceManifold",
+        "TargetManifold",
+        "Verdict",
+        "check_hypotheses",
+        "decide",
+    ],
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,6 @@ to keep floats out of the pipeline entirely.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -25,8 +24,6 @@ import stat
 import sys
 from fractions import Fraction
 from typing import Any
-
-import jsonschema
 
 from .decider import (
     JiangType,
@@ -248,8 +245,99 @@ _SCENARIO_SCHEMA = {
     },
 }
 
-# built once: main() may run many commands in one process
-_SCENARIO_VALIDATOR = jsonschema.Draft202012Validator(_SCENARIO_SCHEMA)
+# Values echoed in schema errors are cut here, so a huge field cannot turn
+# one error into a megabyte line.
+_ECHO_LIMIT = 200
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
+def _schema_errors(node: Any, schema: dict, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each way ``node`` breaks ``schema``.
+
+    Covers the keywords the scenario schema uses, in the order and wording
+    of jsonschema 4.26's Draft 2020-12 validator, with echoed values capped
+    at ``_ECHO_LIMIT`` characters.  Its ``const`` and ``enum`` values are
+    strings, for which jsonschema's equality is ``==``, and its ``oneOf``
+    branches exclude each other, so "valid under each of" cannot arise.
+    """
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            types = (rule,) if isinstance(rule, str) else rule
+            for name in types:
+                if _IS_TYPE[name](node):
+                    break
+            else:
+                names = ", ".join(repr(name) for name in types)
+                errors.append((path, f"{_echo(repr(node))} is not of type {names}"))
+        elif keyword == "properties":
+            if isinstance(node, dict):
+                for key, subschema in rule.items():
+                    if key in node:
+                        _schema_errors(node[key], subschema, path + (key,), errors)
+        elif keyword == "additionalProperties":
+            if isinstance(node, dict) and rule is False:
+                known = schema.get("properties", {})
+                extras = sorted((key for key in node if key not in known), key=str)
+                if extras:
+                    listed = _echo(", ".join(repr(key) for key in extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((
+                        path,
+                        f"Additional properties are not allowed ({listed} {verb} unexpected)",
+                    ))
+        elif keyword == "required":
+            if isinstance(node, dict):
+                for key in rule:
+                    if key not in node:
+                        errors.append((path, f"{key!r} is a required property"))
+        elif keyword == "items":
+            if isinstance(node, list):
+                for index, item in enumerate(node):
+                    _schema_errors(item, rule, path + (index,), errors)
+        elif keyword == "minItems":
+            if isinstance(node, list) and len(node) < rule:
+                wording = "should be non-empty" if rule == 1 else "is too short"
+                errors.append((path, f"{_echo(repr(node))} {wording}"))
+        elif keyword == "minimum":
+            if _IS_TYPE["number"](node) and node < rule:
+                errors.append(
+                    (path, f"{_echo(repr(node))} is less than the minimum of {rule!r}")
+                )
+        elif keyword == "pattern":
+            if isinstance(node, str) and not re.search(rule, node):
+                errors.append((path, f"{_echo(repr(node))} does not match {rule!r}"))
+        elif keyword == "enum":
+            if node not in rule:
+                errors.append((path, f"{_echo(repr(node))} is not one of {rule!r}"))
+        elif keyword == "const":
+            if node != rule:
+                errors.append((path, f"{rule!r} was expected"))
+        elif keyword == "oneOf":
+            for branch in rule:
+                branch_errors: list = []
+                _schema_errors(node, branch, path, branch_errors)
+                if not branch_errors:
+                    break
+            else:
+                errors.append(
+                    (path, f"{_echo(repr(node))} is not valid under any of the given schemas")
+                )
+        else:
+            raise ValueError(f"schema keyword {keyword!r} has no hand validator")
+
 
 _MODEL_PAYLOAD_KEY = {
     "torus-affine": "torus",
@@ -282,16 +370,17 @@ def load_scenario(path: str) -> dict:
         # malformed JSON, bytes that are not UTF-8, or an integer literal
         # longer than Python's int-from-string digit limit
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
+    errors: list = []
     try:
-        errors = sorted(
-            _SCENARIO_VALIDATOR.iter_errors(document), key=lambda e: list(e.absolute_path)
-        )
+        # repr of a deeply nested value in a message recurses
+        _schema_errors(document, _SCENARIO_SCHEMA, (), errors)
     except RecursionError as exc:
         raise SchemaError(f"scenario file is nested too deeply: {exc}") from exc
     if errors:
-        err = errors[0]
-        location = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise SchemaError(f"field {location}: {err.message}")
+        # the first error at the smallest path, as jsonschema's errors sorted by path
+        path, message = sorted(errors, key=lambda e: e[0])[0]
+        location = "/".join(str(p) for p in path) or "(top level)"
+        raise SchemaError(f"field {location}: {message}")
     payload_key = _MODEL_PAYLOAD_KEY[document["model"]]
     if payload_key not in document:
         raise SchemaError(
@@ -584,7 +673,13 @@ _EXIT_CODES: list[tuple[type, int]] = [
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args leaves it unchanged."""
+    """The one parser of this process; parse_args leaves it unchanged.
+
+    Only argv with options, help or a usage error needs it (see ``main``),
+    so argparse is imported here and not with the module.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coincidence-lab",
         description="Exact coincidence classes, coincidence sets and "
@@ -611,9 +706,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) == 2 and argv[0] in _COMMANDS and not argv[1].startswith("-"):
+        # "<command> <path>" parses to exactly this without argparse
+        command, path, output, quiet = argv[0], argv[1], None, False
+    else:
+        args = build_parser().parse_args(argv)
+        command, path, output, quiet = args.command, args.path, args.output, args.quiet
     try:
-        report = _COMMANDS[args.command](args.path)
+        report = _COMMANDS[command](path)
     except CoincidenceLabError as exc:
         for err_type, code in _EXIT_CODES:
             if isinstance(exc, err_type):
@@ -622,13 +724,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     text = render_report(report)
-    if args.output:
+    if output:
         try:
-            write_report(args.output, text)
+            write_report(output, text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-    elif not args.quiet:
+    elif not quiet:
         sys.stdout.write(text)
     return EXIT_OK
 

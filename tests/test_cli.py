@@ -5,11 +5,14 @@ import os
 import re
 import sys
 import tempfile
+from unittest import mock
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coincidence_lab import cli
 from coincidence_lab.cli import (
     EXIT_DIMENSION,
     EXIT_OK,
@@ -892,3 +895,318 @@ def test_commands_in_one_process_share_no_state(call_list):
         # the same bytes again, in the other order, after all the other calls
         for argv, result in reversed(list(zip(runs, results))):
             assert call_main(argv) == result
+
+
+# --- the hand-written schema validator ------------------------------------------
+
+# jsonschema is the test oracle: the walker must reproduce its errors
+SCHEMA_ORACLE = jsonschema.Draft202012Validator(cli._SCENARIO_SCHEMA)
+
+
+def walker_errors(document):
+    errors = []
+    cli._schema_errors(document, cli._SCENARIO_SCHEMA, (), errors)
+    return errors
+
+
+def oracle_errors(document):
+    return [(tuple(e.absolute_path), e.message) for e in SCHEMA_ORACLE.iter_errors(document)]
+
+
+def is_capped(ours, theirs):
+    """``ours`` is ``theirs`` with one echoed value cut to its first
+    ``cli._ECHO_LIMIT`` characters followed by '...'."""
+    cut = ours.find("...")
+    while cut != -1:
+        head, tail = ours[:cut], ours[cut + 3:]
+        if len(theirs) > len(ours) and theirs.startswith(head) and theirs.endswith(tail):
+            return True
+        cut = ours.find("...", cut + 1)
+    return False
+
+
+def assert_walker_matches_jsonschema(document):
+    ours, theirs = walker_errors(document), oracle_errors(document)
+    # every error, in jsonschema's order; load_scenario reports the first by path
+    assert [path for path, _ in ours] == [path for path, _ in theirs]
+    for (_, mine), (_, oracle) in zip(ours, theirs):
+        assert mine == oracle or is_capped(mine, oracle), (mine, oracle)
+    return ours
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    DOCUMENTS, DOCUMENTS.flatmap(mutated), DOCUMENTS.flatmap(mutated).flatmap(mutated)
+))
+def test_hand_validator_matches_jsonschema(document):
+    assert_walker_matches_jsonschema(document)
+
+
+FACTS_DOC = {
+    "model": "facts",
+    "facts": {
+        "k": 2,
+        "maps": [{"id": "f", "constant": False}, {"id": "g"}],
+        "space": {"id": "X", "class_degree": 2},
+        "facts": [
+            {"kind": "pair-class-zero", "i": 1, "j": 2},
+            {"kind": "cohomology-group-vanishes", "space": "X", "degree": 2},
+            {"kind": "fundamental-class-pullback-vanishes", "map": "f"},
+        ],
+    },
+    "decider": {**TORUS_DECIDER, "k": 2, "obstruction_known_zero": None, "notes": ["n"]},
+}
+
+SPHERE_DOC = {"model": "sphere-degrees", "sphere": {"n": 2, "k": 2, "hat_degrees": [3, 5]}}
+
+TRANSLATED_TORUS_DOC = {
+    "model": "torus-affine",
+    "torus": {
+        "source_dim": 1,
+        "target_dim": 1,
+        "maps": [{"matrix": [[0]], "translation": ["1/2"]}, {"matrix": [[2]]}],
+    },
+    "decider": {**TORUS_DECIDER, "k": 2, "dim_M": 1},
+}
+
+# every object in the scenario schema, by its path in one of the documents above
+OBJECT_PATHS = [
+    (TORUS_DOC, ()),
+    (TORUS_DOC, ("torus",)),
+    (TORUS_DOC, ("torus", "maps", 1)),
+    (SPHERE_DOC, ("sphere",)),
+    (FACTS_DOC, ("facts",)),
+    (FACTS_DOC, ("facts", "maps", 0)),
+    (FACTS_DOC, ("facts", "space")),
+    (FACTS_DOC, ("facts", "facts", 1)),
+    (FACTS_DOC, ("decider",)),
+    (FACTS_DOC, ("decider", "M")),
+    (FACTS_DOC, ("decider", "N")),
+]
+
+
+def changed(document, path, value):
+    """A copy of ``document`` with the node at ``path`` set to ``value``."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+def with_extra_keys(document, path, keys):
+    document = json.loads(json.dumps(document))
+    node = document
+    for key in path:
+        node = node[key]
+    node.update({key: 1 for key in keys})
+    return document
+
+
+TRANSLATION = ("torus", "maps", 0, "translation", 0)
+TARGETED = {
+    "integer-is-true": (changed(TORUS_DOC, ("torus", "source_dim"), True), False),
+    "integer-is-false": (changed(SPHERE_DOC, ("sphere", "k"), False), False),
+    "integer-entry-is-true": (changed(TORUS_DOC, ("torus", "maps", 0, "matrix", 0, 0), True), False),
+    "boolean-is-1": (changed(FACTS_DOC, ("decider", "M", "closed"), 1), False),
+    "boolean-or-null-is-null": (FACTS_DOC, True),
+    "boolean-or-null-is-true": (changed(FACTS_DOC, ("decider", "obstruction_known_zero"), True), True),
+    "boolean-or-null-is-0": (changed(FACTS_DOC, ("decider", "obstruction_known_zero"), 0), False),
+    "boolean-or-null-is-string": (changed(FACTS_DOC, ("decider", "obstruction_known_zero"), "x"), False),
+    "rational-integer-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, -3), True),
+    "rational-string-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "-7/3"), True),
+    "rational-trailing-newline": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/2\n"), True),
+    "rational-non-ascii-digit": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "١/2"), True),
+    "rational-zero-denominator": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/0"), False),
+    "rational-is-true": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, True), False),
+    "rational-is-list": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, [1]), False),
+    "min-items-2": (changed(TORUS_DOC, ("torus", "maps"), [{"matrix": [[1, 0]]}]), False),
+    "min-items-1-matrix": (changed(TORUS_DOC, ("torus", "maps", 0, "matrix"), []), False),
+    "min-items-1-row": (changed(TORUS_DOC, ("torus", "maps", 0, "matrix", 0), []), False),
+    "minimum": (changed(SPHERE_DOC, ("sphere", "n"), 0), False),
+    "minimum-and-type-elsewhere": (
+        changed(changed(SPHERE_DOC, ("sphere", "n"), 0), ("sphere", "k"), "2"), False
+    ),
+    "enum-model": (changed(TORUS_DOC, ("model",), "torus"), False),
+    "enum-jiang-type": (changed(FACTS_DOC, ("decider", "N", "jiang_type"), 3), False),
+    "fact-kind-in-no-branch": (changed(FACTS_DOC, ("facts", "facts", 0, "kind"), "nope"), False),
+    "fact-missing-field": (changed(FACTS_DOC, ("facts", "facts", 0), {"kind": "pair-class-zero"}), False),
+    "required-several": (changed(FACTS_DOC, ("decider",), {"M": {}}), False),
+    "extra-and-required": (changed(SPHERE_DOC, ("sphere",), {"b": 1, "a": 2}), False),
+    "capped-min-items": (
+        changed(TORUS_DOC, ("torus", "maps"), [{"matrix": [list(range(100))]}]), False
+    ),
+    "capped-extra-keys": (with_extra_keys(SPHERE_DOC, (), [f"key{i:03}" for i in range(40)]), False),
+    **{
+        f"extra-{count}-key-at-{'/'.join(map(str, path)) or 'top'}": (
+            with_extra_keys(document, path, ["zz", "aa"][:count]), False
+        )
+        for document, path in OBJECT_PATHS
+        for count in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_hand_validator_targeted_cases(name):
+    document, valid = TARGETED[name]
+    errors = assert_walker_matches_jsonschema(document)
+    assert (errors == []) == valid
+    assert name.startswith("capped-") == any("..." in message for _, message in errors)
+
+
+def test_extra_key_messages_are_worded_as_jsonschema(tmp_path, capsys):
+    for keys, message in [
+        (["zz"], "Additional properties are not allowed ('zz' was unexpected)"),
+        (["zz", "aa"], "Additional properties are not allowed ('aa', 'zz' were unexpected)"),
+    ]:
+        path = write_scenario(tmp_path, with_extra_keys(SPHERE_DOC, ("sphere",), keys))
+        assert main(["class", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: field sphere: {message}\n"
+
+
+def test_long_echoed_value_is_capped(tmp_path, capsys):
+    doc = changed(TORUS_DOC, ("torus", "source_dim"), list(range(100_000)))
+    assert main(["class", str(write_scenario(tmp_path, doc))]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: field torus/source_dim: [0, 1, 2, ")
+    assert len(err.encode()) < 1024
+    assert err.endswith("... is not of type 'integer'\n")
+    assert is_capped(err[len("error: field torus/source_dim: "):-1], oracle_errors(doc)[0][1])
+
+
+# --- argv without argparse ------------------------------------------------------------
+
+
+class ParserUsed(Exception):
+    pass
+
+
+class Dispatched(Exception):
+    pass
+
+
+def refuse_parser():
+    raise ParserUsed
+
+
+ARGV_TOKENS = st.sampled_from(
+    ["class", "solve", "decide", "bogus", "--output", "X", "--quiet", "-h", "--",
+     "-", "-x.json", "--path", "", "scenario.json"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ARGV_TOKENS, max_size=4))
+def test_plain_argv_parses_as_argparse_would(argv):
+    def command(name):
+        def dispatch(path):
+            raise Dispatched(name, path)
+        return dispatch
+
+    commands = {name: command(name) for name in cli._COMMANDS}
+    with mock.patch.object(cli, "_COMMANDS", commands), \
+            mock.patch.object(cli, "build_parser", refuse_parser):
+        try:
+            cli.main(list(argv))
+        except ParserUsed:
+            return  # argparse handles it, as before
+        except Dispatched as exc:
+            name, path = exc.args
+    namespace = cli.build_parser().parse_args(list(argv))
+    assert vars(namespace) == {"command": name, "path": path, "output": None, "quiet": False}
+
+
+def test_plain_argv_never_builds_the_parser(fixtures_dir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", refuse_parser)
+    assert main(["class", str(fixtures_dir / "torus-diag-2-3.json")]) == EXIT_OK
+    golden = (fixtures_dir / "golden" / "torus-diag-2-3.class.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_options_and_usage_errors_go_through_argparse(fixtures_dir, capsys, monkeypatch):
+    built, original = [], cli.build_parser
+
+    def counted():
+        built.append(True)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["class", str(fixtures_dir / "torus-diag-2-3.json"), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert len(built) == 1
+    for argv in (["class"], ["class", "--quiet"], ["bogus", "x.json"], ["class", "-x.json"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_SCHEMA
+        assert "usage: coincidence-lab" in capsys.readouterr().err
+    assert len(built) == 5
+
+
+# --- what the command line imports ------------------------------------------------
+
+# jsonschema is made unimportable before anything else runs
+WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None
+from coincidence_lab import cli
+loaded_by_import = "coincidence_lab.group_ring" in sys.modules
+code = cli.main(sys.argv[1:])
+assert not loaded_by_import, "importing the CLI loaded group_ring"
+assert "coincidence_lab.group_ring" not in sys.modules, "the command loaded group_ring"
+sys.exit(code)
+"""
+
+
+def run_without_jsonschema(script, *args):
+    import subprocess
+
+    import coincidence_lab
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(coincidence_lab.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, timeout=60, check=False, capture_output=True, text=True,
+    )
+
+
+def test_class_runs_without_jsonschema_or_group_ring(fixtures_dir):
+    done = run_without_jsonschema(WITHOUT_JSONSCHEMA, "class", str(fixtures_dir / "torus-diag-2-3.json"))
+    assert done.returncode == EXIT_OK, done.stderr
+    golden = (fixtures_dir / "golden" / "torus-diag-2-3.class.json").read_text(encoding="utf-8")
+    assert done.stdout == golden
+
+
+def test_schema_error_without_jsonschema_matches_in_process(tmp_path, capsys):
+    doc = with_extra_keys(TORUS_DOC, ("torus", "maps", 0), ["surprise"])
+    path = str(write_scenario(tmp_path, doc))
+    assert main(["class", path]) == EXIT_SCHEMA
+    in_process = capsys.readouterr().err
+    done = run_without_jsonschema(WITHOUT_JSONSCHEMA, "class", path)
+    assert done.returncode == EXIT_SCHEMA
+    assert done.stderr == in_process
+    assert in_process == (
+        "error: field torus/maps/0: Additional properties are not allowed "
+        "('surprise' was unexpected)\n"
+    )
+
+
+def test_package_exports_resolve_on_first_use():
+    script = """
+import sys
+sys.modules["jsonschema"] = None
+import coincidence_lab
+assert "coincidence_lab.group_ring" not in sys.modules
+from coincidence_lab import AbelianGroupSpec
+assert AbelianGroupSpec.__module__ == "coincidence_lab.group_ring"
+namespace = {}
+exec("from coincidence_lab import *", namespace)
+assert sorted(name for name in namespace if name != "__builtins__") == coincidence_lab.__all__
+assert set(coincidence_lab.__all__) <= set(dir(coincidence_lab))
+print(len(coincidence_lab.__all__))
+"""
+    done = run_without_jsonschema(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "60\n"
