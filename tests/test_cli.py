@@ -914,8 +914,8 @@ def oracle_errors(document):
 
 
 def is_capped(ours, theirs):
-    """``ours`` is ``theirs`` with one echoed value cut to its first
-    ``cli._ECHO_LIMIT`` characters followed by '...'."""
+    """``ours`` is ``theirs`` with one stretch cut short and marked '...',
+    as the cap on echoed values does."""
     cut = ours.find("...")
     while cut != -1:
         head, tail = ours[:cut], ours[cut + 3:]
@@ -1017,7 +1017,7 @@ TARGETED = {
     "rational-integer-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, -3), True),
     "rational-string-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "-7/3"), True),
     "rational-trailing-newline": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/2\n"), True),
-    "rational-non-ascii-digit": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "١/2"), True),
+    "rational-non-ascii-digit": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "\u0661/2"), True),
     "rational-zero-denominator": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/0"), False),
     "rational-is-true": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, True), False),
     "rational-is-list": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, [1]), False),
