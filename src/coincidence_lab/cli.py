@@ -2,8 +2,8 @@
 
 Three subcommands share one scenario-file format:
 
-* ``class``  - compute the coincidence class for any model; torus models are
-  cross-checked against the geometric solver when transverse.
+* ``class``  - compute the coincidence class for any model; the torus class
+  is det D from the solver, cross-checked against the exterior product.
 * ``solve``  - enumerate the coincidence set of a torus model.
 * ``decide`` - run the verdict rules on the computed class.
 
@@ -37,7 +37,6 @@ from .errors import (
     ArityMismatch,
     CoincidenceLabError,
     DimensionMismatch,
-    EnumerationLimit,
     IndexOutOfRange,
     IntegerOverflow,
     NonTransverse,
@@ -46,6 +45,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .lefschetz import (
+    TORUS_PROVENANCE,
     ClassValue,
     CohomologyFact,
     CohomologyGroupVanishes,
@@ -58,9 +58,7 @@ from .lefschetz import (
     sphere_class,
 )
 from .matrices import IntegerMatrix
-# stacked_difference is not called here; it stays bound because
-# perfbench/tracing.py wraps it by name on this module.
-from .solver import (  # noqa: F401
+from .solver import (
     format_coordinate,
     solve_coincidences,
     stacked_difference,
@@ -72,7 +70,7 @@ EXIT_DIMENSION = 3
 EXIT_TRANSVERSALITY = 4
 EXIT_OVERFLOW = 5
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 _RATIONAL_ENTRY = {
     "oneOf": [
@@ -397,7 +395,7 @@ def load_scenario(path: str) -> dict:
 def parse_rational(value: Any, context: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         return Fraction(value)
     raise SchemaError(f"field {context}: {value!r} is not an integer or 'p/q' string")
 
@@ -450,14 +448,17 @@ def compute_class(document: dict) -> tuple[ClassValue, dict]:
     model = document["model"]
     if model == "torus-affine":
         system = build_affine_maps(document["torus"])
-        value = multi_class_torus(system)
         try:
             points = solve_coincidences(system)
-        except (NonTransverse, EnumerationLimit):
-            # no finite point set within budget: the class stands unchecked
-            return value, {}
-        total = points.local_index * len(points)
-        return value, {"index_sum": total, "oracle_agrees": total == value.value}
+            value = points.local_index * len(points)
+            # the labelled check: the exterior product of the pair classes
+            agrees = multi_class_torus(system).value == value
+            extras = {"index_sum": value, "oracle_agrees": agrees}
+        except (NonTransverse, IntegerOverflow):
+            # singular, past the enumeration budget (EnumerationLimit is an
+            # IntegerOverflow) or a check that leaves 64 bits: det D, unchecked
+            value, extras = stacked_difference(system).det(), {}
+        return ClassValue.integer(value, TORUS_PROVENANCE), extras
     if model == "sphere-degrees":
         payload = document["sphere"]
         return sphere_class(payload["n"], payload["k"], payload["hat_degrees"]), {}
@@ -503,12 +504,12 @@ def cmd_solve(path: str) -> dict:
         raise SchemaError("field model: solve requires the 'torus-affine' model")
     system = build_affine_maps(document["torus"])
     points = solve_coincidences(system)
-    value = multi_class_torus(system)
     d, index = points.denominator, points.local_index
+    total = index * len(points)
     return {
-        "class": render_class(value),
+        "class": render_class(ClassValue.integer(total, TORUS_PROVENANCE)),
         "coincidence_points": [render_point(nums, d, index) for nums in points.numerators],
-        "index_sum": index * len(points),
+        "index_sum": total,
         "inputs_echo": document,
     }
 
@@ -717,12 +718,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = _COMMANDS[command](path)
     except CoincidenceLabError as exc:
-        for err_type, code in _EXIT_CODES:
-            if isinstance(exc, err_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return next((code for t, code in _EXIT_CODES if isinstance(exc, t)), EXIT_SCHEMA)
     text = render_report(report)
     if output:
         try:

@@ -6,7 +6,9 @@ Three routes produce a :class:`ClassValue`:
   matrices on first homology.  Each map past the first contributes the
   pullback of the target orientation class along its difference with the
   base map; the full class is the cup product of those contributions,
-  evaluated against the source orientation.
+  evaluated against the source orientation.  It equals det D of the stacked
+  differences, so the CLI reports that det and runs this exponential route
+  only as its ``oracle_agrees`` check.
 * ``sphere_class`` - maps into a sphere, given by the degrees of the
   complementary (k-1)-tuples.
 * ``class_from_facts`` - axiomatized vanishing facts, propagated through the

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tempfile
+from random import Random
 from unittest import mock
 
 import jsonschema
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import random_transverse_system
 from coincidence_lab import cli
 from coincidence_lab.cli import (
     EXIT_DIMENSION,
@@ -22,6 +24,7 @@ from coincidence_lab.cli import (
     main,
 )
 from coincidence_lab.decider import JiangType
+from coincidence_lab.lefschetz import TorusMapModel, multi_class_torus
 
 GOLDEN_CASES = [
     ("example-7.1-pair.json", "decide", "example-7.1-pair.decide.json"),
@@ -135,20 +138,31 @@ def test_sphere_class_report(tmp_path, capsys):
     assert json.loads(out)["class"]["value"] == 8
 
 
+OVER_BUDGET_DOC = {
+    "model": "torus-affine",
+    "torus": {
+        "source_dim": 2,
+        "target_dim": 2,
+        "maps": [
+            {"matrix": [[0, 0], [0, 0]]},
+            {"matrix": [[3000000000, 1], [2, 3000000000]]},
+        ],
+    },
+}
+
+SINGULAR_DOC = {
+    "model": "torus-affine",
+    "torus": {
+        "source_dim": 2,
+        "target_dim": 1,
+        "maps": [{"matrix": [[0, 0]]}, {"matrix": [[0, 0]]}, {"matrix": [[1, 1]]}],
+    },
+}
+
+
 def test_class_skips_oracle_beyond_enumeration_budget(tmp_path, capsys):
     # the class is cheap to compute even when the point set is astronomical
-    doc = {
-        "model": "torus-affine",
-        "torus": {
-            "source_dim": 2,
-            "target_dim": 2,
-            "maps": [
-                {"matrix": [[0, 0], [0, 0]]},
-                {"matrix": [[3000000000, 1], [2, 3000000000]]},
-            ],
-        },
-    }
-    code, out = run("class", write_scenario(tmp_path, doc), capsys)
+    code, out = run("class", write_scenario(tmp_path, OVER_BUDGET_DOC), capsys)
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["class"]["value"] == 3000000000**2 - 2
@@ -170,19 +184,127 @@ def test_solve_beyond_enumeration_budget_is_exit_5(tmp_path, capsys):
 
 
 def test_class_skips_oracle_when_not_transverse(tmp_path, capsys):
-    doc = {
-        "model": "torus-affine",
-        "torus": {
-            "source_dim": 2,
-            "target_dim": 1,
-            "maps": [{"matrix": [[0, 0]]}, {"matrix": [[0, 0]]}, {"matrix": [[1, 1]]}],
-        },
-    }
-    code, out = run("class", write_scenario(tmp_path, doc), capsys)
+    code, out = run("class", write_scenario(tmp_path, SINGULAR_DOC), capsys)
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["class"]["value"] == 0
     assert "oracle_agrees" not in report
+
+
+# 4 maps T^3 -> T^1 with det D = 1, so one coincidence point, whose exterior
+# product passes through a coefficient of about 3.7e19, past int64 (M = 2^32)
+M = 2**32
+DET_ONE_DOC = {
+    "model": "torus-affine",
+    "torus": {
+        "source_dim": 3,
+        "target_dim": 1,
+        "maps": [
+            {"matrix": [[0, 0, 0]]},
+            {"matrix": [[M, M + 1, 0]]},
+            {"matrix": [[-(M + 1), M, 1]]},
+            {"matrix": [[1, 1, 0]]},
+        ],
+    },
+    "decider": {**TORUS_DECIDER, "k": 4, "dim_M": 3},
+}
+
+
+def test_det_one_system_answers_though_its_exterior_check_overflows(tmp_path, capsys):
+    path = write_scenario(tmp_path, DET_ONE_DOC)
+    code, out = run("class", path, capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"]["value"] == 1
+    assert "index_sum" not in report and "oracle_agrees" not in report
+    code, out = run("solve", path, capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["class"]["value"] == report["index_sum"] == 1
+    assert [p["coordinates"] for p in report["coincidence_points"]] == [["0", "0", "0"]]
+    code, out = run("decide", path, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"]["decision"] == "NotDeformable"
+
+
+def test_determinant_past_int64_is_exit_5(tmp_path, capsys):
+    doc = {
+        "model": "torus-affine",
+        "torus": {
+            "source_dim": 2,
+            "target_dim": 2,
+            "maps": [{"matrix": [[0, 0], [0, 0]]}, {"matrix": [[2**62, 0], [0, 4]]}],
+        },
+    }
+    for command in ("class", "solve"):
+        assert main([command, str(write_scenario(tmp_path, doc))]) == EXIT_OVERFLOW
+        assert "determinant 18446744073709551616" in capsys.readouterr().err
+
+
+def test_class_and_solve_need_the_exterior_route_only_for_the_check(
+    fixtures_dir, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exterior product ran outside the oracle check")
+
+    monkeypatch.setattr(cli, "multi_class_torus", refuse)
+    for scenario, command, golden in GOLDEN_CASES:
+        if command == "solve":
+            code, out = run(command, fixtures_dir / scenario, capsys)
+            assert code == EXIT_OK
+            assert out.encode("utf-8") == (fixtures_dir / "golden" / golden).read_bytes()
+    for doc, value in [(SINGULAR_DOC, 0), (OVER_BUDGET_DOC, 3000000000**2 - 2)]:
+        code, out = run("class", write_scenario(tmp_path, doc), capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["class"]["value"] == value
+
+
+def torus_document(system):
+    return {
+        "model": "torus-affine",
+        "torus": {
+            "source_dim": system.m,
+            "target_dim": system.n,
+            "maps": [
+                {"matrix": [list(row) for row in a.entries], "translation": [str(t) for t in b]}
+                for a, b in zip(system.matrices, system.translations)
+            ],
+        },
+    }
+
+
+def test_class_equals_the_exterior_class_on_random_systems(tmp_path, capsys):
+    rng = Random(15)
+    systems = [random_transverse_system(rng) for _ in range(40)]
+    for system in systems[:10]:
+        # two equal maps make the stacked matrix singular
+        j = rng.randrange(1, system.k)
+        matrices = list(system.matrices)
+        matrices[j] = matrices[rng.randrange(j)]
+        systems.append(TorusMapModel.from_matrices(matrices, system.translations))
+    singular = 0
+    for system in systems:
+        code, out = run("class", write_scenario(tmp_path, torus_document(system)), capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["class"]["value"] == multi_class_torus(system).value
+        assert report.get("oracle_agrees", True) is True
+        singular += "oracle_agrees" not in report
+    assert singular == 10
+
+
+def test_source_dimension_off_the_top_degree_is_exit_3(tmp_path, capsys):
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["torus"]["source_dim"] = 3
+    for record in doc["torus"]["maps"]:
+        record["matrix"][0].append(1)
+    doc["decider"] = dict(TORUS_DECIDER, dim_M=3)
+    path = write_scenario(tmp_path, doc)
+    for command in ("class", "solve", "decide"):
+        assert main([command, str(path)]) == EXIT_DIMENSION
+        assert capsys.readouterr().err == (
+            "error: source dimension 3 must equal (k-1)*n = 2\n"
+        )
 
 
 # --- golden files -------------------------------------------------------------
@@ -278,6 +400,24 @@ def test_bad_rational_string_is_schema_error(tmp_path, capsys):
     assert code == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize(
+    "translation,fragment",
+    [
+        # Python's \d takes every Unicode digit; the schema's [0-9] does not
+        ("\u0661/2", "is not valid under any of the given schemas"),
+        # the schema's $ lets a final newline through; the parser does not
+        ("1/2\n", "is not an integer or 'p/q' string"),
+    ],
+)
+def test_rational_takes_ascii_digits_and_nothing_after(tmp_path, capsys, translation, fragment):
+    doc = json.loads(json.dumps(TORUS_DOC))
+    doc["torus"]["maps"][1]["translation"] = [translation]
+    for command in ("class", "solve"):
+        assert main([command, str(write_scenario(tmp_path, doc))]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "torus/maps/1/translation/0" in err and fragment in err
+
+
 def test_solve_rejects_non_torus_models(tmp_path, capsys):
     doc = {"model": "sphere-degrees", "sphere": {"n": 2, "k": 2, "hat_degrees": [3, 5]}}
     code = main(["solve", str(write_scenario(tmp_path, doc))])
@@ -334,6 +474,7 @@ def test_decider_block_is_checked_before_the_class(tmp_path, capsys, monkeypatch
         raise AssertionError("decide computed the class before checking its block")
 
     monkeypatch.setattr(cli, "multi_class_torus", refuse)
+    monkeypatch.setattr(cli, "solve_coincidences", refuse)
     doc = json.loads(json.dumps(TORUS_DOC))
     doc["decider"] = dict(TORUS_DECIDER, **{field: value})
     code = main(["decide", str(write_scenario(tmp_path, doc))])
@@ -360,15 +501,7 @@ def test_decider_block_precedence(tmp_path, capsys, record, expected, fragment):
 
 
 def test_non_transverse_solve_is_exit_4(tmp_path, capsys):
-    doc = {
-        "model": "torus-affine",
-        "torus": {
-            "source_dim": 2,
-            "target_dim": 1,
-            "maps": [{"matrix": [[0, 0]]}, {"matrix": [[0, 0]]}, {"matrix": [[1, 1]]}],
-        },
-    }
-    code = main(["solve", str(write_scenario(tmp_path, doc))])
+    code = main(["solve", str(write_scenario(tmp_path, SINGULAR_DOC))])
     assert code == EXIT_TRANSVERSALITY
     assert "determinant 0" in capsys.readouterr().err
 
@@ -1017,7 +1150,7 @@ TARGETED = {
     "rational-integer-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, -3), True),
     "rational-string-branch": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "-7/3"), True),
     "rational-trailing-newline": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/2\n"), True),
-    "rational-non-ascii-digit": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "\u0661/2"), True),
+    "rational-non-ascii-digit": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "\u0661/2"), False),
     "rational-zero-denominator": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, "1/0"), False),
     "rational-is-true": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, True), False),
     "rational-is-list": (changed(TRANSLATED_TORUS_DOC, TRANSLATION, [1]), False),
