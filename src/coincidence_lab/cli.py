@@ -37,6 +37,7 @@ from .errors import (
     ArityMismatch,
     CoincidenceLabError,
     DimensionMismatch,
+    EnumerationLimit,
     IndexOutOfRange,
     IntegerOverflow,
     NonTransverse,
@@ -61,7 +62,7 @@ from .matrices import IntegerMatrix
 from .solver import (
     format_coordinate,
     solve_coincidences,
-    stacked_difference,
+    stacked_difference,  # noqa: F401  perfbench/tracing.py wraps it by name
 )
 
 EXIT_OK = 0
@@ -450,14 +451,15 @@ def compute_class(document: dict) -> tuple[ClassValue, dict]:
         system = build_affine_maps(document["torus"])
         try:
             points = solve_coincidences(system)
-            value = points.local_index * len(points)
-            # the labelled check: the exterior product of the pair classes
+        except NonTransverse:  # raised exactly when det D = 0
+            return ClassValue.integer(0, TORUS_PROVENANCE), {}
+        except EnumerationLimit as refused:
+            return ClassValue.integer(refused.det, TORUS_PROVENANCE), {}
+        value, extras = points.local_index * len(points), {}  # len counts from the basis
+        # the labelled check, the pair classes' exterior product; omitted past 64 bits
+        with contextlib.suppress(IntegerOverflow):
             agrees = multi_class_torus(system).value == value
             extras = {"index_sum": value, "oracle_agrees": agrees}
-        except (NonTransverse, IntegerOverflow):
-            # singular, past the enumeration budget (EnumerationLimit is an
-            # IntegerOverflow) or a check that leaves 64 bits: det D, unchecked
-            value, extras = stacked_difference(system).det(), {}
         return ClassValue.integer(value, TORUS_PROVENANCE), extras
     if model == "sphere-degrees":
         payload = document["sphere"]

@@ -41,6 +41,10 @@ class NonTransverse(CoincidenceLabError, ValueError):
 class EnumerationLimit(IntegerOverflow):
     """The coincidence set is finite but too large to enumerate point by point."""
 
+    def __init__(self, message: str, det: int):
+        super().__init__(message)
+        self.det = det  # the determinant refused on, so that no caller recomputes it
+
 
 class UnknownIdentifier(CoincidenceLabError, KeyError):
     """A fact refers to a map or space identifier that was never declared."""

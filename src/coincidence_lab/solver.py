@@ -3,24 +3,25 @@
 k affine maps from an m-torus to an n-torus coincide exactly where the
 stacked difference system D x = c holds modulo 1.  When the stacked matrix is
 nonsingular the solution set is finite: x = adj(D) (c + z) / det D mod 1 for
-z in Z^m, and closing the offset adj(D) c / det D under the columns of adj(D)
-enumerates all |det D| points.  Every arithmetic step is over the integers, so
-the index sum this module reports is ground truth for the cohomological
-computation.
+z in Z^m.  Over the common denominator M = L |det D| the numerators are the
+offset (z = 0) plus the subgroup of (Z/M)^m that the scaled columns of adj(D)
+span.  Every arithmetic step is over the integers, so the index sum this
+module reports is ground truth for the cohomological computation.
 
-The points stay exact integer numerators over one common denominator in a
-:class:`PointSet`.  Counting them builds nothing; a :class:`CoincidencePoint`
-with ``Fraction`` coordinates is built only when a caller indexes or iterates
-the set, and reports render coordinates straight from the numerators with
-:func:`format_coordinate`.
+A :class:`PointSet` keeps that subgroup as a triangular (Hermite) basis modulo
+M (Domich, Kannan and Trotter, 1987; Cohen, Alg. 2.4.8): it counts the points
+before any exists and lists them in lexicographic order by a mixed-radix walk.
+A :class:`CoincidencePoint` is built only when a caller indexes or iterates
+the set; reports render straight from the numerators (:func:`format_coordinate`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, lcm, prod
 
 from .errors import EnumerationLimit, NonTransverse
 from .lefschetz import TorusMapModel
@@ -38,7 +39,6 @@ __all__ = [
 
 # Point counts equal |det| of the stacked system, which fits in 64 bits long
 # before the points fit in memory; refuse hopeless enumerations up front.
-# Callers with unusual needs can pass a larger max_points explicitly.
 MAX_ENUMERATED_POINTS = 250_000
 
 
@@ -59,34 +59,57 @@ class CoincidencePoint:
 
 @dataclass(frozen=True)
 class PointSet(Sequence[CoincidencePoint]):
-    """A coincidence set as exact numerators over one common denominator.
+    """A coincidence set: ``offset`` plus the span of ``basis``, modulo ``denominator``.
 
-    Point i has coordinates ``numerators[i][j] / denominator`` and index
-    ``local_index``.  ``len`` costs nothing; indexing and iteration build each
-    :class:`CoincidencePoint` on demand, and slicing returns a smaller set.
+    Row i is zero before its pivot, which divides ``denominator``, and takes
+    coefficients below denominator / pivot, so ``len`` is a product of radices.
+    :attr:`numerators` walks the points in order; indexing walks to one point.
     """
 
     denominator: int
-    numerators: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
     local_index: int
 
     def __post_init__(self):
         if self.local_index == 0:
             raise ValueError("local index must be nonzero")
         d = self.denominator
-        if not all(0 <= v < d for nums in self.numerators for v in nums):
-            raise ValueError(f"a numerator is not reduced into [0, {d})")
+        if not all(0 <= v < d for v in self.offset):
+            raise ValueError(f"an offset numerator is not reduced into [0, {d})")
+        for i, row in enumerate(self.basis):
+            if any(row[:i]):
+                raise ValueError(f"basis row {i} is nonzero before its pivot")
+            if not (0 < row[i] and d % row[i] == 0):
+                raise ValueError(f"basis pivot {row[i]} does not divide {d}")
 
     def __len__(self) -> int:
-        return len(self.numerators)
+        return prod(self.denominator // row[i] for i, row in enumerate(self.basis))
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PointSet(self.denominator, self.numerators[i], self.local_index)
-        return self._point(self.numerators[i])
+    def __getitem__(self, i: int) -> CoincidencePoint:
+        return self._point(next(islice(self.numerators, range(len(self))[i], None)))
 
     def __iter__(self):
         return map(self._point, self.numerators)
+
+    @property
+    def numerators(self) -> Iterator[tuple[int, ...]]:
+        """Each point's numerators over ``denominator``, in lexicographic order."""
+        # a pivot equal to the denominator is a zero row: a level of radix 1
+        levels = [(i, row) for i, row in enumerate(self.basis) if row[i] != self.denominator]
+        return self._walk(levels, self.offset) if levels else iter([self.offset])
+
+    def _walk(self, levels, vector) -> Iterator[tuple[int, ...]]:
+        # deeper rows are zero up to this column: it runs up in steps of the pivot
+        (column, row), deeper, d = levels[0], levels[1:], self.denominator
+        q = vector[column] // row[column]
+        vector = tuple((a - q * b) % d for a, b in zip(vector, row))
+        for _ in range(d // row[column]):
+            if deeper:
+                yield from self._walk(deeper, vector)
+            else:
+                yield vector
+            vector = tuple((a + b) % d for a, b in zip(vector, row))
 
     def _point(self, nums: tuple[int, ...]) -> CoincidencePoint:
         d = self.denominator
@@ -107,16 +130,14 @@ def stacked_difference(model: TorusMapModel) -> IntegerMatrix:
     return stack_rows([a - first for a in model.matrices[1:]])
 
 
-def solve_coincidences(
-    model: TorusMapModel,
-    max_points: int = MAX_ENUMERATED_POINTS,
-) -> PointSet:
-    """Enumerate the coincidence set of a transverse affine system.
+def solve_coincidences(model: TorusMapModel) -> PointSet:
+    """Solve a transverse affine system: its coincidence set as a coset.
 
     Raises NonTransverse when the stacked difference matrix is singular; the
-    caller is responsible for perturbing such systems.  Points come back
-    sorted lexicographically by coordinates, each carrying the common local
-    index sign(det D).
+    caller is responsible for perturbing such systems.  Raises EnumerationLimit,
+    carrying det D, past ``MAX_ENUMERATED_POINTS``.  Points come back sorted
+    lexicographically by coordinates, each carrying the common local index
+    sign(det D).
     """
     model.require_top_degree()
 
@@ -127,10 +148,11 @@ def solve_coincidences(
             "stacked difference matrix has determinant 0; "
             "the coincidence set is not a finite transverse set"
         )
-    if abs(det) > max_points:
+    if abs(det) > MAX_ENUMERATED_POINTS:
         raise EnumerationLimit(
             f"coincidence set has {abs(det)} points, beyond the enumeration "
-            f"budget of {max_points}"
+            f"budget of {MAX_ENUMERATED_POINTS}",
+            det,
         )
     index = 1 if det > 0 else -1
 
@@ -154,27 +176,29 @@ def solve_coincidences(
     common = scale * count
     numer = [r.numerator * (scale // r.denominator) for r in rhs]
     offset = tuple(sum(index * a * c for a, c in zip(row, numer)) % common for row in adj)
+    basis = tuple(_triangular_basis([[scale * a % common for a in c] for c in zip(*adj)], common))
+    points = PointSet(common, offset, basis, index)
+    if len(points) != count:
+        raise RuntimeError(f"internal error: {len(points)} points, expected {count}")
+    return points
 
-    # Close the point set under one generator at a time: a multiple of it
-    # either lands on a point already found or shifts every point so far.
-    numerators = [offset]
-    seen = {offset}
-    for column in zip(*adj):
-        gen = tuple(index * scale * a % common for a in column)
-        base = list(numerators)
-        shift = gen
-        while len(numerators) < count and (
-            tuple((a + b) % common for a, b in zip(offset, shift)) not in seen
-        ):
-            layer = [tuple((a + b) % common for a, b in zip(p, shift)) for p in base]
-            numerators.extend(layer)
-            seen.update(layer)
-            shift = tuple((a + b) % common for a, b in zip(shift, gen))
-    if len(numerators) != count:
-        raise RuntimeError(f"internal error: {len(numerators)} points, expected {count}")
 
-    # Sorting numerators over one denominator sorts the coordinates.
-    return PointSet(common, tuple(sorted(numerators)), index)
+def _triangular_basis(vectors: list[list[int]], common: int) -> Iterator[tuple[int, ...]]:
+    """Rows of a triangular basis of the subgroup of (Z/common)^m reduced vectors span.
+
+    Euclid steps, which keep the span, fold the vectors into each row in turn.
+    A row starts as common * e_i, so its (common / pivot) multiple stays in the
+    span of the rows below it, and the radices reach each element once.
+    """
+    size = len(vectors)
+    for i in range(size):
+        row = [common * (i == j) for j in range(size)]
+        for k, vector in enumerate(vectors):
+            while vector[i]:
+                q = row[i] // vector[i]
+                row, vector = vector, [(a - q * b) % common for a, b in zip(row, vector)]
+            vectors[k] = vector
+        yield tuple(row)
 
 
 def _adjugate(stacked: IntegerMatrix) -> list[list[int]]:

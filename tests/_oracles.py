@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from random import Random
 
 from coincidence_lab import IntegerMatrix, TorusMapModel
@@ -99,3 +100,50 @@ def random_transverse_system(
             [random_translation(rng, nn) for _ in mats] if with_translations else ()
         )
         return TorusMapModel.from_matrices(mats, translations)
+
+
+def closure_numerators(model: TorusMapModel) -> tuple[tuple[int, ...], ...]:
+    """The coincidence set by closing its offset under generators, then sorting.
+
+    D^-1 comes from Gauss-Jordan elimination over ``Fraction``.  Over the
+    common denominator L |det D|, the points are the offset D^-1 c mod 1 plus
+    every sum of the columns of D^-1 mod 1; a breadth-first closure with a
+    seen-set lists them, and a sort puts them in lexicographic order.
+    """
+    first = model.matrices[0]
+    rows = [
+        [Fraction(a[r, c] - first[r, c]) for c in range(model.m)]
+        for a in model.matrices[1:]
+        for r in range(model.n)
+    ]
+    rhs = [b1 - bi for other in model.translations[1:] for b1, bi in zip(model.translations[0], other)]
+    size = len(rows)
+    work = [row + [Fraction(i == j) for j in range(size)] for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next(i for i in range(k, size) if work[i][k])
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            det = -det
+        det *= work[k][k]
+        work[k] = [v / work[k][k] for v in work[k]]
+        for i in range(size):
+            if i != k and work[i][k]:
+                work[i] = [a - work[i][k] * b for a, b in zip(work[i], work[k])]
+    inverse = [row[size:] for row in work]
+    common = lcm(*(r.denominator for r in rhs)) * abs(int(det))
+
+    def numerators(vector):
+        return tuple(int(v % 1 * common) for v in vector)
+
+    offset = numerators(sum(a * c for a, c in zip(row, rhs)) for row in inverse)
+    generators = [numerators(column) for column in zip(*inverse)]
+    seen, frontier = {offset}, [offset]
+    while frontier:
+        point = frontier.pop()
+        for gen in generators:
+            nxt = tuple((a + b) % common for a, b in zip(point, gen))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(seen))

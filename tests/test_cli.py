@@ -747,13 +747,29 @@ def test_output_written_in_place_where_a_rename_would_change_the_file(
         assert other == target.read_text(encoding="utf-8")
 
 
+# 249,500 coincidence points: diag(500, 499) against the zero map of T^2
+LARGE_DOC = {
+    "model": "torus-affine",
+    "torus": {
+        "source_dim": 2,
+        "target_dim": 2,
+        "maps": [{"matrix": [[0, 0], [0, 0]]}, {"matrix": [[500, 0], [0, 499]]}],
+    },
+    "decider": {**TORUS_DECIDER, "k": 2, "n": 2},
+}
+
+
 def test_class_counts_points_without_building_them(tmp_path, capsys, monkeypatch):
     from coincidence_lab import solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("class built a CoincidencePoint")
 
+    def refuse_walk(self):
+        raise AssertionError("the points were listed")
+
     monkeypatch.setattr(solver, "CoincidencePoint", refuse)
+    monkeypatch.setattr(solver.PointSet, "numerators", property(refuse_walk))
     doc = json.loads(json.dumps(TORUS_DOC))
     doc["torus"]["maps"][1]["translation"] = ["1/2"]
     code, out = run("class", write_scenario(tmp_path, doc), capsys)
@@ -761,6 +777,31 @@ def test_class_counts_points_without_building_them(tmp_path, capsys, monkeypatch
     report = json.loads(out)
     assert report["oracle_agrees"] is True
     assert report["index_sum"] == report["class"]["value"] == 6
+    path = write_scenario(tmp_path, LARGE_DOC)
+    for command in ("class", "decide"):
+        code, out = run(command, path, capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["index_sum"] == report["class"]["value"] == 249500
+        assert report["oracle_agrees"] is True
+
+
+def test_class_computes_det_once_on_singular_and_over_budget_systems(
+    tmp_path, capsys, monkeypatch
+):
+    from coincidence_lab.matrices import IntegerMatrix
+
+    det = IntegerMatrix.det
+    for doc, value in [(SINGULAR_DOC, 0), (OVER_BUDGET_DOC, 3000000000**2 - 2)]:
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(IntegerMatrix, "det", lambda self: calls.append(self) or det(self))
+            code, out = run("class", write_scenario(tmp_path, doc), capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["class"]["value"] == value
+        assert "index_sum" not in report and "oracle_agrees" not in report
+        assert len(calls) == 1
 
 
 def test_translation_length_mismatch_is_dimension_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coincidence_lab import (
@@ -19,7 +19,7 @@ from coincidence_lab import (
 )
 from coincidence_lab.solver import format_coordinate
 
-from _oracles import perm_det, random_transverse_system
+from _oracles import closure_numerators, perm_det, random_transverse_system
 
 
 def system(*rows_list, translations=()):
@@ -71,13 +71,17 @@ def test_translations_shift_the_points():
     assert index_sum(points) == 2
 
 
-def test_enumeration_budget():
-    from coincidence_lab import EnumerationLimit
+def test_enumeration_budget(monkeypatch):
+    from coincidence_lab import EnumerationLimit, solver
 
-    maps = system([[0, 0]], [[3, 0]], [[0, 3]])  # 9 points
-    assert len(solve_coincidences(maps)) == 9
-    with pytest.raises(EnumerationLimit):
-        solve_coincidences(maps, max_points=8)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver worked past the budget check")
+
+    monkeypatch.setattr(solver, "_adjugate", refuse)
+    maps = system([[0, 0]], [[501, 0]], [[0, 500]])  # 250,500 points
+    with pytest.raises(EnumerationLimit, match="250500 points") as refused:
+        solve_coincidences(maps)
+    assert refused.value.det == 250500
 
 
 def test_non_transverse_is_an_error():
@@ -119,14 +123,58 @@ def test_point_set_is_a_lazy_sequence():
     points = solve_coincidences(system([[0, 0]], [[-2, 0]], [[0, 3]]))
     assert isinstance(points, PointSet)
     assert (points.denominator, points.local_index) == (6, -1)
-    assert points.numerators == ((0, 0), (0, 2), (0, 4), (3, 0), (3, 2), (3, 4))
+    assert tuple(points.numerators) == ((0, 0), (0, 2), (0, 4), (3, 0), (3, 2), (3, 4))
     assert points[-1] == CoincidencePoint((Fraction(1, 2), Fraction(2, 3)), -1)
-    assert list(points[1:3]) == [points[1], points[2]]
     assert list(points) == [points[i] for i in range(len(points))]
-    with pytest.raises(ValueError):
-        PointSet(6, ((0, 6),), 1)
-    with pytest.raises(ValueError):
-        PointSet(6, ((0, 0),), 0)
+    with pytest.raises(IndexError):
+        points[6]
+
+
+def test_point_set_walks_its_basis_in_order():
+    # offset (1, 3) plus the span of (2, 4) and (0, 3) modulo 6; the top row's
+    # radix-3 multiple 3 * (2, 4) = (0, 0) mod 6 needs no fold
+    points = PointSet(6, (1, 3), ((2, 4), (0, 3)), 1)
+    assert len(points) == 6
+    assert tuple(points.numerators) == ((1, 0), (1, 3), (3, 1), (3, 4), (5, 2), (5, 5))
+    assert [p.coordinates for p in points] == [
+        tuple(Fraction(v, 6) for v in nums) for nums in points.numerators
+    ]
+    # a pivot equal to the denominator is a zero row: one point per level
+    assert tuple(PointSet(6, (1, 5), ((6, 0), (0, 6)), 1).numerators) == ((1, 5),)
+
+
+@pytest.mark.parametrize(
+    "offset, basis, index, fragment",
+    [
+        ((0, 0), ((2, 0), (0, 3)), 0, "local index"),
+        ((0, 6), ((2, 0), (0, 3)), 1, "offset numerator is not reduced"),
+        ((0, -1), ((2, 0), (0, 3)), 1, "offset numerator is not reduced"),
+        ((0, 0), ((2, 0), (1, 3)), 1, "row 1 is nonzero before its pivot"),
+        ((0, 0), ((4, 0), (0, 3)), 1, "pivot 4 does not divide 6"),
+        ((0, 0), ((2, 0), (0, 0)), 1, "pivot 0 does not divide 6"),
+    ],
+)
+def test_point_set_constructor_checks_its_basis(offset, basis, index, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        PointSet(6, offset, basis, index)
+
+
+# every (m, n) with m = (k - 1) n <= 8
+SHAPES = [(q * n, n) for n in range(1, 9) for q in range(1, 8 // n + 1)]
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_walk_lists_the_closure_in_order(m, n, data):
+    k = m // n + 1
+    entries = st.lists(st.integers(-1, 1), min_size=m, max_size=m)
+    rational = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+    matrices = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    translations = [data.draw(st.tuples(*[rational] * n)) for _ in range(k)]
+    maps = system(*matrices, translations=translations)
+    assume(0 < abs(stacked_difference(maps).det()) <= 2000)
+    assert tuple(solve_coincidences(maps).numerators) == closure_numerators(maps)
 
 
 @settings(max_examples=500, deadline=None)
